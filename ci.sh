@@ -24,6 +24,9 @@
 #                                 tiny scale; asserts
 #                                 results/BENCH_fault_tolerance.json is
 #                                 produced and well-formed
+#   9. cargo test --workspace -q  every crate's unit and integration
+#                                 tests (step 4 runs the root package
+#                                 only)
 #
 # Exit codes:
 #   0  everything passed
@@ -35,6 +38,7 @@
 #   6  schedule-mode ablation failed or wrote a malformed artifact
 #   7  obs stats artifact missing or malformed
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
+#   9  workspace tests failed
 set -u
 
 cd "$(dirname "$0")" || exit 2
@@ -138,6 +142,9 @@ else
     grep -q '"mode": "spark-recompute"' results/BENCH_fault_tolerance.json || exit 8
     grep -q '"checksum_failover"' results/BENCH_fault_tolerance.json || exit 8
 fi
+
+echo "ci: cargo test --workspace -q"
+cargo test --workspace -q || exit 9
 
 echo "ci: ok"
 exit 0

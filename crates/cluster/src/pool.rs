@@ -242,10 +242,11 @@ where
 /// in input order.
 ///
 /// Unlike [`run_tasks`], the closure appends an arbitrary number of
-/// results per morsel into a thread-local buffer; the driver records
-/// each segment's length and stitches the buffers so the concatenated
-/// output is byte-identical to running the morsels serially. Timings
-/// are per morsel, indexed by morsel position.
+/// results per morsel into that morsel's own output segment; the
+/// driver stitches the segments in morsel order into one presized
+/// result, so the concatenated output is byte-identical to running the
+/// morsels serially. Timings are per morsel, indexed by morsel
+/// position.
 pub fn run_morsels<T, R, F>(
     morsels: &[&[T]],
     threads: usize,
@@ -351,10 +352,12 @@ where
 
     let counter = AtomicUsize::new(0);
     let f_ref = &f;
-    // Each worker returns its output buffer plus, per morsel it ran,
-    // `(morsel index, segment length, secs)`.
-    type Segs = Vec<(usize, usize, f64)>;
-    let mut per_worker: Vec<(Vec<R>, Segs)> = Vec::with_capacity(threads);
+    // Each worker returns, per morsel it ran, `(morsel index, output
+    // segment, secs)`. Every morsel appends into a segment of its own
+    // (presized to the worker's previous segment), so no morsel pays
+    // for re-growing output that earlier morsels wrote.
+    type Segs<R> = Vec<(usize, Vec<R>, f64)>;
+    let mut per_worker: Vec<Segs<R>> = Vec::with_capacity(threads);
     let mut exec = obs::ExecStats::default();
 
     std::thread::scope(|scope| {
@@ -364,17 +367,18 @@ where
             handles.push(scope.spawn(move || {
                 let wall0 = Instant::now();
                 let mut busy_ns: u64 = 0;
-                let mut buf: Vec<R> = Vec::new();
-                let mut segs: Segs = Vec::with_capacity(n / threads + 1);
+                let mut segs: Segs<R> = Vec::with_capacity(n / threads + 1);
+                let mut last_len = 0usize;
                 let mut run = |i: usize, m: &[T]| {
-                    let before = buf.len();
                     let t0 = Instant::now();
-                    f_ref(m, &mut buf);
+                    let mut seg = Vec::with_capacity(last_len);
+                    f_ref(m, &mut seg);
                     let elapsed = t0.elapsed();
                     busy_ns =
                         busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
                     obs::morsel(dmode);
-                    segs.push((i, buf.len() - before, elapsed.as_secs_f64()));
+                    last_len = seg.len();
+                    segs.push((i, seg, elapsed.as_secs_f64()));
                 };
                 match mode {
                     ScheduleMode::Dynamic => loop {
@@ -391,9 +395,6 @@ where
                             run(i, morsels[i]);
                         }
                     }
-                    // Pre-assigned by hint; indices stay strictly
-                    // increasing per worker, which the stitch below
-                    // relies on.
                     ScheduleMode::StaticLocality => {
                         for i in 0..n {
                             if hinted_worker(i, n, threads, hints) == w {
@@ -410,13 +411,13 @@ where
                     busy_ns,
                     wait_ns: wall_ns.saturating_sub(busy_ns),
                 };
-                (buf, segs, stats, obs::take_thread())
+                (segs, stats, obs::take_thread())
             }));
         }
         for h in handles {
             match h.join() {
-                Ok((buf, segs, stats, counters)) => {
-                    per_worker.push((buf, segs));
+                Ok((segs, stats, counters)) => {
+                    per_worker.push(segs);
                     exec.workers.push(stats);
                     exec.worker_counters = exec.worker_counters.plus(&counters);
                 }
@@ -425,15 +426,14 @@ where
         }
     });
 
-    // Stitch: a worker's morsel indices are strictly increasing under
-    // both modes, so each buffer is already ordered internally; a merge
-    // over `(morsel index → worker, segment length)` drains every
-    // buffer front-to-back without cloning any element.
-    let mut order: Vec<(usize, usize, usize)> = Vec::with_capacity(n); // (index, worker, len)
+    // Stitch: order the segments by morsel index and move each into
+    // one result presized to the total — no element is cloned and the
+    // result never re-grows.
+    let mut order: Vec<(usize, Vec<R>)> = Vec::with_capacity(n);
     let mut timings = Vec::with_capacity(n);
-    for (w, (_, segs)) in per_worker.iter().enumerate() {
-        for &(index, len, secs) in segs {
-            order.push((index, w, len));
+    for (w, segs) in per_worker.into_iter().enumerate() {
+        for (index, seg, secs) in segs {
+            order.push((index, seg));
             timings.push(TaskTiming {
                 index,
                 worker: w,
@@ -441,16 +441,12 @@ where
             });
         }
     }
-    order.sort_unstable_by_key(|&(index, _, _)| index);
+    order.sort_unstable_by_key(|&(index, _)| index);
     timings.sort_by_key(|t| t.index);
-    let total: usize = order.iter().map(|&(_, _, len)| len).sum();
-    let mut iters: Vec<std::vec::IntoIter<R>> = per_worker
-        .into_iter()
-        .map(|(buf, _)| buf.into_iter())
-        .collect();
+    let total: usize = order.iter().map(|(_, seg)| seg.len()).sum();
     let mut out = Vec::with_capacity(total);
-    for (_, w, len) in order {
-        out.extend(iters[w].by_ref().take(len));
+    for (_, mut seg) in order {
+        out.append(&mut seg);
     }
     (out, timings, exec)
 }

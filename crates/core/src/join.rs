@@ -14,20 +14,23 @@ use rtree::{QuadTreePartitioner, RTree};
 use crate::{GeomRecord, JoinPair, PointRecord};
 
 /// Builds the broadcastable R-tree over the right side: geometries are
-/// prepared once by the engine and indexed by their envelope expanded
-/// by the predicate's filter radius (the `expandBy(radius)` of the
-/// paper's Fig. 2).
+/// indexed by their envelope expanded by the predicate's filter radius
+/// (the `expandBy(radius)` of the paper's Fig. 2) and prepared once by
+/// the engine, in leaf order (see [`RTree::bulk_load_by`]).
 pub fn build_right_index<E: RefinementEngine>(
     right: &[GeomRecord],
     predicate: SpatialPredicate,
     engine: &E,
 ) -> RTree<(i64, E::Prepared)> {
     let radius = predicate.filter_radius();
-    let entries: Vec<(Envelope, (i64, E::Prepared))> = right
+    let envelopes: Vec<Envelope> = right
         .iter()
-        .map(|(id, g)| (g.envelope().expanded_by(radius), (*id, engine.prepare(g))))
+        .map(|(_, g)| g.envelope().expanded_by(radius))
         .collect();
-    RTree::bulk_load_entries(entries)
+    RTree::bulk_load_by(&envelopes, |i| {
+        let (id, g) = &right[i];
+        (*id, engine.prepare(g))
+    })
 }
 
 /// Probes the index with one point, appending matches to `out`.

@@ -10,8 +10,8 @@
 //!   broadcast R-tree indexed join, a spatially partitioned join, and a
 //!   nested-loop baseline. These are the algorithms; the systems below
 //!   wrap them in distributed machinery.
-//! * [`parallel`] — the morsel-driven parallel executor behind both
-//!   systems: the right side prepared once into a shared
+//! * [`parallel`] — the morsel-driven parallel executor: the right
+//!   side prepared once, in R-tree leaf order, into a shared
 //!   [`PreparedSet`], the left side probed in fixed-size morsels with
 //!   deterministic, serial-identical output.
 //! * [`spark`] — **SpatialSpark**: the join expressed as sparklet

@@ -4,21 +4,34 @@
 //! The paper's systems get their speed from running the broadcast
 //! R-tree probe in parallel — dynamic task scheduling on Spark, static
 //! OpenMP-style chunking in Impala (§IV–V). This module is the single
-//! executor behind both: the right side is prepared **once** into a
-//! shared [`PreparedSet`] (ids, expanded envelopes and engine-prepared
-//! geometries, indexed by `u32`), and the left side is probed in
-//! fixed-size morsels handed to [`cluster::run_morsels`] under either
-//! [`ScheduleMode`].
+//! executor behind SpatialSpark and [`crate::JoinRequest`]: the right
+//! side is prepared **once** into a shared [`PreparedSet`], and the
+//! left side is probed in fixed-size morsels handed to
+//! [`cluster::run_morsels`] under either [`ScheduleMode`]. (ISP-MC
+//! shares the morsel driver but, like the paper's per-instance build,
+//! builds its own tree in impalite's fragment 0.)
+//!
+//! # Leaf-order slots
+//!
+//! [`PreparedSet::prepare`] STR-packs the expanded envelopes first,
+//! then prepares the right side in **leaf order** through
+//! [`rtree::RTree::bulk_load_by`]. Ids and prepared geometries are
+//! stored by *slot* — a record's leaf position — and the tree's `u32`
+//! payload is the slot, so the candidates one leaf yields are adjacent
+//! in memory, heap blocks included. An `input index → slot` map keeps
+//! input-order addressing (partition tasks' `right_ids`) working.
 //!
 //! # Determinism contract
 //!
 //! Output is **bit-identical to the serial path at any thread count**:
-//! the shared tree is bulk-loaded from the same envelope sequence as
-//! the serial [`crate::join::build_right_index`] (STR packing is a
-//! stable sort over envelopes, so the entry permutation and hence
-//! traversal order are identical), and per-morsel output segments are
-//! stitched back in input order by the driver. Scheduling only decides
-//! *who* runs a morsel, never what it appends.
+//! every index build STR-packs the same envelope sequence (the right
+//! side in input order; STR packing is a stable sort over envelopes),
+//! so the tree shape and traversal order are those of the serial
+//! [`crate::join::build_right_index`] — a slot names the same record
+//! its input index did, so the layout changes where a candidate lives,
+//! never which candidates are visited or in what order. Per-morsel
+//! output segments are stitched back in input order by the driver.
+//! Scheduling only decides *who* runs a morsel, never what it appends.
 //!
 //! # Prepare-once memory story
 //!
@@ -202,45 +215,57 @@ impl Default for MorselConfig {
 
 /// The right side of a join, prepared exactly once and shared by
 /// reference across every morsel, partition task and system layer.
+///
+/// Records live in **slot order**: slot `s` is the `s`-th entry of the
+/// STR tree's leaves, and the tree's payload for it is `s` itself. The
+/// candidates one leaf yields are adjacent slots, so their ids and
+/// prepared geometries (and, because preparation runs in slot order,
+/// the geometries' coordinate blocks) sit on neighbouring cache lines.
 pub struct PreparedSet<E: RefinementEngine> {
+    /// Right-side record ids, by slot.
     ids: Vec<i64>,
-    /// Envelopes already expanded by the predicate's filter radius.
-    envelopes: Vec<Envelope>,
+    /// Engine-prepared geometries, by slot.
     prepared: Vec<E::Prepared>,
-    /// Filter tree over `u32` indices into the vectors above.
+    /// Input index → slot, for callers that address the right side in
+    /// input order (partition tasks' `right_ids`).
+    slot_of: Vec<u32>,
+    /// Filter tree over the expanded envelopes; payload = slot.
     tree: RTree<u32>,
     predicate: SpatialPredicate,
 }
 
 impl<E: RefinementEngine> PreparedSet<E> {
-    /// Prepares `right` for `predicate`: one `engine.prepare` call per
-    /// geometry, envelopes expanded by the filter radius, and an STR
-    /// tree over the indices (same envelope sequence as the serial
-    /// [`crate::join::build_right_index`], hence the same packing).
+    /// Prepares `right` for `predicate`: envelopes expanded by the
+    /// filter radius are STR-packed first, then one `engine.prepare`
+    /// call per geometry runs in leaf order (same envelope sequence as
+    /// the serial [`crate::join::build_right_index`], hence the same
+    /// packing and traversal order).
     pub fn prepare(
         right: &[GeomRecord],
         predicate: SpatialPredicate,
         engine: &E,
     ) -> PreparedSet<E> {
         let radius = predicate.filter_radius();
-        let mut ids = Vec::with_capacity(right.len());
-        let mut envelopes = Vec::with_capacity(right.len());
-        let mut prepared = Vec::with_capacity(right.len());
-        for (id, g) in right {
-            ids.push(*id);
-            envelopes.push(g.envelope().expanded_by(radius));
-            prepared.push(engine.prepare(g));
-        }
-        let entries: Vec<(Envelope, u32)> = envelopes
+        let envelopes: Vec<Envelope> = right
             .iter()
-            .enumerate()
-            .map(|(i, &env)| (env, i as u32))
+            .map(|(_, g)| g.envelope().expanded_by(radius))
             .collect();
+        let mut ids = Vec::with_capacity(right.len());
+        let mut prepared = Vec::with_capacity(right.len());
+        let mut slot_of = vec![0u32; right.len()];
+        let tree = RTree::bulk_load_by(&envelopes, |i| {
+            let slot = ids.len() as u32;
+            let (id, g) = &right[i];
+            ids.push(*id);
+            prepared.push(engine.prepare(g));
+            slot_of[i] = slot;
+            slot
+        });
         PreparedSet {
             ids,
-            envelopes,
             prepared,
-            tree: RTree::bulk_load_entries(entries),
+            slot_of,
+            tree,
             predicate,
         }
     }
@@ -263,19 +288,11 @@ impl<E: RefinementEngine> PreparedSet<E> {
     /// Probes the shared tree with one point, appending matches.
     #[inline]
     pub fn probe_into(&self, engine: &E, left_id: i64, p: Point, out: &mut Vec<JoinPair>) {
-        probe_with(
-            &self.tree,
-            self.predicate,
-            engine,
-            left_id,
-            p,
-            |&i| (self.ids[i as usize], &self.prepared[i as usize]),
-            out,
-        );
+        self.probe_subset(&self.tree, engine, left_id, p, out);
     }
 
     /// Probes one morsel of left points — the body every worker thread
-    /// runs. Geometry is reached through the shared set by index.
+    /// runs. Geometry is reached through the shared set by slot.
     pub fn probe_slice(&self, engine: &E, morsel: &[PointRecord], out: &mut Vec<JoinPair>) {
         // tidy:alloc-free:start
         for &(id, p) in morsel {
@@ -285,17 +302,24 @@ impl<E: RefinementEngine> PreparedSet<E> {
     }
 
     /// Builds a filter tree over a subset of the right side, given as
-    /// indices into this set. Only envelopes are copied — the prepared
-    /// geometries stay shared.
+    /// *input* indices (positions in the `right` slice the set was
+    /// prepared from). Entries keep the order of `right_ids`, so the
+    /// packing is that of a tree bulk-loaded from the subset in input
+    /// order. Only envelopes are copied — the prepared geometries stay
+    /// shared.
     pub fn subset_tree(&self, right_ids: &[u32]) -> RTree<u32> {
         let entries: Vec<(Envelope, u32)> = right_ids
             .iter()
-            .map(|&ri| (self.envelopes[ri as usize], ri))
+            .map(|&ri| {
+                let slot = self.slot_of[ri as usize];
+                (self.tree.entry_envelope(slot as usize), slot)
+            })
             .collect();
         RTree::bulk_load_entries(entries)
     }
 
-    /// Probes a [`PreparedSet::subset_tree`] with one point.
+    /// Probes a [`PreparedSet::subset_tree`] (or the shared tree; any
+    /// tree whose payloads are slots) with one point.
     #[inline]
     pub fn probe_subset(
         &self,
@@ -311,7 +335,7 @@ impl<E: RefinementEngine> PreparedSet<E> {
             engine,
             left_id,
             p,
-            |&i| (self.ids[i as usize], &self.prepared[i as usize]),
+            |&slot| (self.ids[slot as usize], &self.prepared[slot as usize]),
             out,
         );
     }

@@ -372,6 +372,24 @@ mod tests {
     }
 
     #[test]
+    fn data_movement_reaches_the_thread_counters() {
+        let sys = system_with_grid();
+        let start = obs::thread_snapshot();
+        sys.broadcast_spatial_join("/pnt", "/poly", SpatialPredicate::Within)
+            .unwrap();
+        let broadcast = obs::thread_snapshot().minus(&start);
+        assert!(broadcast.bytes_broadcast > 0);
+        let mid = obs::thread_snapshot();
+        sys.partitioned_spatial_join("/pnt", "/poly", SpatialPredicate::Within, 9)
+            .unwrap();
+        let partitioned = obs::thread_snapshot().minus(&mid);
+        assert!(partitioned.bytes_shuffled > 0);
+        // Together the two joins leave both movement counters non-zero.
+        let both = obs::thread_snapshot().minus(&start);
+        assert!(both.bytes_broadcast > 0 && both.bytes_shuffled > 0);
+    }
+
+    #[test]
     fn missing_file_errors() {
         let sys = system_with_grid();
         assert!(sys

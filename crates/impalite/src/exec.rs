@@ -373,17 +373,28 @@ impl Impalad {
         // build time below is that per-instance cost.
         let right_stat = self.dfs.stat(&plan.right_path)?;
         let right_lines = self.read_retrying(0, || self.dfs.read_all_lines(&plan.right_path))?;
+        obs::bytes_moved(right_stat.total_bytes as u64, 0);
         let t0 = Instant::now();
-        let mut entries: Vec<(geom::Envelope, (i64, Geometry))> = Vec::new();
+        let mut parsed: Vec<(i64, Geometry)> = Vec::new();
+        let mut envelopes: Vec<geom::Envelope> = Vec::new();
         for line in &right_lines {
             if let Some(row) = Row::from_line(line, plan.right_geom_col) {
                 if let Ok(g) = geom::wkt::parse(&row.wkt) {
-                    let env = g.envelope().expanded_by(radius);
-                    entries.push((env, (row.id, engine.prepare(&g))));
+                    envelopes.push(g.envelope().expanded_by(radius));
+                    parsed.push((row.id, g));
                 }
             }
         }
-        let tree: RTree<(i64, Geometry)> = RTree::bulk_load_entries(entries);
+        // The leaf-order build keeps the parsed copy alive until every
+        // payload is prepared; free the text first to bound the peak.
+        drop(right_lines);
+        // Prepared in leaf order, so one leaf's candidates (and their
+        // coordinate blocks) are adjacent in memory.
+        let tree: RTree<(i64, Geometry)> = RTree::bulk_load_by(&envelopes, |i| {
+            let (id, g) = &parsed[i];
+            (*id, engine.prepare(g))
+        });
+        drop(parsed);
         let build_secs = t0.elapsed().as_secs_f64();
 
         // --- Fragment 1: scan left table into row batches ---
@@ -606,6 +617,21 @@ mod tests {
         assert!(result.metrics.build_secs > 0.0);
         assert!(result.metrics.broadcast_bytes > 0);
         assert!(!result.metrics.probe_batches.is_empty());
+    }
+
+    #[test]
+    fn broadcast_exchange_reaches_the_thread_counters() {
+        let d = daemon();
+        let before = obs::thread_snapshot();
+        let result = d
+            .execute(
+                "SELECT pnt.id, poly.id FROM pnt SPATIAL JOIN poly \
+                 WHERE ST_WITHIN (pnt.geom, poly.geom)",
+            )
+            .unwrap();
+        let delta = obs::thread_snapshot().minus(&before);
+        assert_eq!(delta.bytes_broadcast, result.metrics.broadcast_bytes);
+        assert_eq!(delta.bytes_shuffled, 0);
     }
 
     #[test]

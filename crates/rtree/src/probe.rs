@@ -17,7 +17,7 @@ use crate::RTree;
 ///
 /// `resolve` maps a stored tree payload to the right-side record id and
 /// its prepared geometry — callers store either the pair inline
-/// (`(i64, E::Prepared)`) or a `u32` index into a shared prepared set.
+/// (`(i64, E::Prepared)`) or a `u32` slot into a shared prepared set.
 /// For [`SpatialPredicate::Nearest`] the arg-min over candidates is
 /// applied here: at most one pair is emitted per point, ties broken by
 /// the smaller right id.

@@ -36,6 +36,37 @@ pub struct RTree<T> {
 impl<T> RTree<T> {
     /// Bulk-loads a tree from `(envelope, item)` pairs.
     pub fn bulk_load_entries(mut entries: Vec<(Envelope, T)>) -> RTree<T> {
+        str_order(&mut entries, |e| e.0.center());
+        RTree::pack(entries)
+    }
+
+    /// Bulk-loads a tree over `envelopes`, building each payload in
+    /// **leaf order**: `make(i)` is called exactly once per input index
+    /// `i`, in the order the entries land in the leaves. Payloads built
+    /// here (and any heap blocks they own) are therefore laid out in
+    /// the order a probe reaches them, so one leaf's candidates sit on
+    /// adjacent cache lines.
+    ///
+    /// The packing equals [`RTree::bulk_load_entries`] over the same
+    /// envelope sequence: STR packing is a stable sort keyed on the
+    /// envelopes alone.
+    pub fn bulk_load_by<F: FnMut(usize) -> T>(envelopes: &[Envelope], mut make: F) -> RTree<T> {
+        let mut keyed: Vec<(Envelope, u32)> = envelopes
+            .iter()
+            .enumerate()
+            .map(|(i, &env)| (env, i as u32))
+            .collect();
+        str_order(&mut keyed, |e| e.0.center());
+        let entries = keyed
+            .into_iter()
+            .map(|(env, i)| (env, make(i as usize)))
+            .collect();
+        RTree::pack(entries)
+    }
+
+    /// Packs entries already in STR order into leaves, then builds the
+    /// upper levels.
+    fn pack(entries: Vec<(Envelope, T)>) -> RTree<T> {
         if entries.is_empty() {
             return RTree {
                 entries,
@@ -50,8 +81,7 @@ impl<T> RTree<T> {
             };
         }
 
-        // --- pack leaves with STR ---
-        str_order(&mut entries, |e| e.0.center());
+        // --- pack leaves ---
         let mut nodes: Vec<Node> = Vec::with_capacity(2 * entries.len() / NODE_CAPACITY + 2);
         let mut level: Vec<u32> = Vec::new();
         let mut i = 0;
@@ -144,15 +174,24 @@ impl<T> RTree<T> {
         self.nodes[self.root as usize].env
     }
 
+    /// Envelope of the entry at leaf position `pos` (the position a
+    /// [`RTree::bulk_load_by`] payload was built for).
+    pub fn entry_envelope(&self, pos: usize) -> Envelope {
+        self.entries[pos].0
+    }
+
     // This probe loop (and `for_each_within_distance` below) is the
     // filter step of every join in the workspace: a fixed-size explicit
-    // stack, no heap traffic per probe. `query` (between the regions)
-    // is the allocating convenience wrapper.
+    // stack, no heap traffic per probe. A child's envelope is tested
+    // *before* it is pushed, so a pruned subtree costs no stack round
+    // trip; the surviving children are pushed in the same order, so the
+    // visit sequence is that of a pop-then-test traversal. `query`
+    // (between the regions) is the allocating convenience wrapper.
     // tidy:alloc-free:start
 
     /// Calls `visit` for every item whose envelope intersects `query`.
     pub fn for_each_intersecting<'a, F: FnMut(&'a T)>(&'a self, query: &Envelope, mut visit: F) {
-        if self.entries.is_empty() {
+        if self.entries.is_empty() || !self.nodes[self.root as usize].env.intersects(query) {
             return;
         }
         // Explicit stack; tree heights are tiny (< 8 for 10M items).
@@ -163,9 +202,6 @@ impl<T> RTree<T> {
         while sp > 0 {
             sp -= 1;
             let node = &self.nodes[stack[sp] as usize];
-            if !node.env.intersects(query) {
-                continue;
-            }
             let first = node.first as usize;
             let count = node.count as usize;
             if node.is_leaf {
@@ -176,8 +212,10 @@ impl<T> RTree<T> {
                 }
             } else {
                 for child in first..first + count {
-                    stack[sp] = child as u32;
-                    sp += 1;
+                    if self.nodes[child].env.intersects(query) {
+                        stack[sp] = child as u32;
+                        sp += 1;
+                    }
                 }
             }
         }
@@ -194,7 +232,9 @@ impl<T> RTree<T> {
     // tidy:alloc-free:start
     /// Calls `visit` for every item whose envelope lies within `distance`
     /// of `p` — the filtering step of the `NearestD` joins. Returns the
-    /// number of nodes popped; the caller folds it into its own obs
+    /// number of nodes whose envelope was tested (the root plus every
+    /// child of an expanded inner node — the pop count of a
+    /// pop-then-test traversal); the caller folds it into its own obs
     /// flush (`probe_with` pays one TLS access per point, not two).
     pub fn for_each_within_distance<'a, F: FnMut(&'a T)>(
         &'a self,
@@ -205,18 +245,21 @@ impl<T> RTree<T> {
         if self.entries.is_empty() {
             return 0;
         }
+        // Written as "prune when farther" (not "keep when within") so a
+        // NaN distance keeps the subtree, exactly as a pop-then-test
+        // traversal does.
+        let pruned = |env: &Envelope| env.distance_to_point(p) > distance;
+        if pruned(&self.nodes[self.root as usize].env) {
+            return 1;
+        }
         let mut stack = [0u32; 64];
         let mut sp = 0;
         stack[sp] = self.root;
         sp += 1;
-        let mut visited: u64 = 0;
+        let mut visited: u64 = 1;
         while sp > 0 {
             sp -= 1;
-            visited += 1;
             let node = &self.nodes[stack[sp] as usize];
-            if node.env.distance_to_point(p) > distance {
-                continue;
-            }
             let first = node.first as usize;
             let count = node.count as usize;
             if node.is_leaf {
@@ -226,9 +269,12 @@ impl<T> RTree<T> {
                     }
                 }
             } else {
+                visited += count as u64;
                 for child in first..first + count {
-                    stack[sp] = child as u32;
-                    sp += 1;
+                    if !pruned(&self.nodes[child].env) {
+                        stack[sp] = child as u32;
+                        sp += 1;
+                    }
                 }
             }
         }
@@ -553,5 +599,102 @@ mod tests {
             assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
         }
         assert!(tree.nearest_k_by(p, 0, |_| 0.0).is_empty());
+    }
+
+    /// Overlapping boxes with many tied centres (STR sort ties).
+    fn overlapping_boxes(n: usize) -> Vec<Envelope> {
+        (0..n)
+            .map(|i| {
+                let x = ((i * 37) % 23) as f64 * 0.5;
+                let y = ((i * 11) % 19) as f64 * 0.5;
+                let r = 0.5 + (i % 4) as f64;
+                Envelope::new(x - r, y - r, x + r, y + r)
+            })
+            .collect()
+    }
+
+    /// The pre-pruning traversal: push every child, test on pop.
+    fn pop_then_test(tree: &RTree<usize>, p: Point, distance: f64) -> (Vec<usize>, u64) {
+        let mut seen = Vec::new();
+        if tree.entries.is_empty() {
+            return (seen, 0);
+        }
+        let mut stack = vec![tree.root];
+        let mut visited = 0u64;
+        while let Some(id) = stack.pop() {
+            visited += 1;
+            let node = &tree.nodes[id as usize];
+            if node.env.distance_to_point(p) > distance {
+                continue;
+            }
+            let (first, count) = (node.first as usize, node.count as usize);
+            if node.is_leaf {
+                for (env, item) in &tree.entries[first..first + count] {
+                    if env.distance_to_point(p) <= distance {
+                        seen.push(*item);
+                    }
+                }
+            } else {
+                stack.extend(first as u32..(first + count) as u32);
+            }
+        }
+        (seen, visited)
+    }
+
+    #[test]
+    fn pruning_before_push_keeps_visit_sequence_and_node_count() {
+        let envs = overlapping_boxes(700);
+        let tree = RTree::bulk_load_by(&envs, |i| i);
+        assert!(tree.height() > 2);
+        for d in [0.0, 0.75, 3.0] {
+            for k in 0..60 {
+                let p = Point::new(k as f64 * 0.37 - 4.0, (k % 13) as f64 * 0.9 - 3.0);
+                let (want, want_nodes) = pop_then_test(&tree, p, d);
+                let mut got = Vec::new();
+                let nodes = tree.for_each_within_distance(p, d, |&i| got.push(i));
+                assert_eq!(got, want, "p={p:?} d={d}");
+                assert_eq!(nodes, want_nodes, "p={p:?} d={d}");
+                if d == 0.0 {
+                    let mut hit = Vec::new();
+                    tree.for_each_intersecting(&Envelope::new(p.x, p.y, p.x, p.y), |&i| {
+                        hit.push(i)
+                    });
+                    assert_eq!(hit, want, "intersecting p={p:?}");
+                }
+            }
+        }
+        // A point outside the root envelope tests the root only.
+        let far = Point::new(1e6, 1e6);
+        assert_eq!(tree.for_each_within_distance(far, 1.0, |_| {}), 1);
+        assert_eq!(pop_then_test(&tree, far, 1.0).1, 1);
+    }
+
+    #[test]
+    fn bulk_load_by_builds_payloads_in_leaf_order_with_the_same_packing() {
+        let envs = overlapping_boxes(500);
+        let by_entries = RTree::bulk_load_entries(
+            envs.iter()
+                .copied()
+                .enumerate()
+                .map(|(i, e)| (e, i))
+                .collect(),
+        );
+        let mut calls = Vec::new();
+        let by = RTree::bulk_load_by(&envs, |i| {
+            calls.push(i);
+            i
+        });
+        let leaf_order: Vec<usize> = by_entries.entries().map(|&(_, i)| i).collect();
+        // Same permutation, and `make` ran once per input, in leaf order.
+        assert_eq!(
+            by.entries().map(|&(_, i)| i).collect::<Vec<_>>(),
+            leaf_order
+        );
+        assert_eq!(calls, leaf_order);
+        for (pos, &i) in leaf_order.iter().enumerate() {
+            assert_eq!(by.entry_envelope(pos), envs[i]);
+        }
+        let empty: RTree<usize> = RTree::bulk_load_by(&[], |_| unreachable!());
+        assert!(empty.is_empty());
     }
 }

@@ -144,8 +144,10 @@ impl SparkContext {
     }
 
     /// Adds data-movement bytes to the *next* recorded stage by pushing
-    /// a marker stage with no tasks.
+    /// a marker stage with no tasks, and counts them on the calling
+    /// thread's obs cells (`bytes_broadcast` / `bytes_shuffled`).
     pub fn record_movement(&self, name: &str, broadcast_bytes: u64, shuffle_bytes: u64) {
+        obs::bytes_moved(broadcast_bytes, shuffle_bytes);
         self.inner.stages.lock().push(StageMetrics {
             name: name.into(),
             tasks: Vec::new(),

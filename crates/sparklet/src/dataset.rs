@@ -200,10 +200,12 @@ impl<T: Send + Sync> Dataset<T> {
     where
         T: Clone,
     {
-        self.partitions
-            .iter()
-            .flat_map(|p| p.data.iter().cloned())
-            .collect()
+        let total = self.partitions.iter().map(|p| p.data.len()).sum();
+        let mut out = Vec::with_capacity(total);
+        for p in &self.partitions {
+            out.extend_from_slice(&p.data);
+        }
+        out
     }
 
     /// Redistributes records into `num_partitions` partitions by a key
