@@ -27,6 +27,10 @@
 #   9. cargo test --workspace -q  every crate's unit and integration
 #                                 tests (step 4 runs the root package
 #                                 only)
+#  10. every target compiles      cargo build --all-targets (benches and
+#                                 bins that no test step builds), then
+#                                 cargo check of the perfbench crate,
+#                                 which lives in a workspace of its own
 #
 # Exit codes:
 #   0  everything passed
@@ -39,6 +43,7 @@
 #   7  obs stats artifact missing or malformed
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
 #   9  workspace tests failed
+#  10  a bench, bin or the perfbench crate failed to compile
 set -u
 
 cd "$(dirname "$0")" || exit 2
@@ -145,6 +150,10 @@ fi
 
 echo "ci: cargo test --workspace -q"
 cargo test --workspace -q || exit 9
+
+echo "ci: build every target, check perfbench"
+cargo build --offline -q --workspace --all-targets || exit 10
+cargo check --offline -q --manifest-path perfbench/Cargo.toml || exit 10
 
 echo "ci: ok"
 exit 0

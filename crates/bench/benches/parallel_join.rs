@@ -3,7 +3,7 @@
 //!
 //! Two numbers come out of every configuration:
 //!
-//! * **measured** wall-clock of `PreparedSet::par_probe` on this
+//! * **measured** wall-clock of `PreparedSet::par_probe_observed` on this
 //!   machine (bounded by the physical core count), and
 //! * **replay** speedup from feeding the measured per-morsel timings
 //!   through the discrete-event simulator (`cluster::simulate`) on a
@@ -20,9 +20,9 @@
 use bench::timing::{BenchId, Harness};
 use cluster::{ClusterSpec, ScheduleMode, Scheduler, TaskSpec};
 use geom::engine::{PreparedEngine, SpatialPredicate};
-use spatialjoin::join::{broadcast_index_join, parse_point_records};
+use spatialjoin::join::broadcast_index_join;
 use spatialjoin::parallel::{MorselConfig, PreparedSet};
-use spatialjoin::{GeomRecord, PointRecord};
+use spatialjoin::{GeomRecord, PointRecord, RecordReader};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -67,7 +67,7 @@ fn measure(
     let mut kept = None;
     for _ in 0..REPETITIONS {
         let start = Instant::now();
-        let (pairs, timings) = set.par_probe_timed(left, &PreparedEngine, cfg);
+        let (pairs, timings, _) = set.par_probe_observed(left, &PreparedEngine, cfg);
         let secs = start.elapsed().as_secs_f64();
         if secs < best {
             best = secs;
@@ -82,16 +82,7 @@ fn measure(
 /// `threads` cores, under the simulator policy matching the pool's
 /// schedule mode.
 fn replay(timings: &[cluster::TaskTiming], threads: usize, mode: ScheduleMode) -> f64 {
-    let mut tasks: Vec<TaskSpec> = timings.iter().map(|t| TaskSpec::of_cost(t.secs)).collect();
-    // run_morsels reports timings in completion order; replay wants
-    // input order so static chunking matches the pool's assignment.
-    let mut by_index: Vec<(usize, TaskSpec)> = timings
-        .iter()
-        .zip(tasks.iter())
-        .map(|(t, s)| (t.index, *s))
-        .collect();
-    by_index.sort_unstable_by_key(|(i, _)| *i);
-    tasks = by_index.into_iter().map(|(_, s)| s).collect();
+    let tasks: Vec<TaskSpec> = timings.iter().map(|t| TaskSpec::of_cost(t.secs)).collect();
     let spec = ClusterSpec {
         num_nodes: 1,
         cores_per_node: threads,
@@ -251,10 +242,10 @@ fn bench_parse_records(c: &mut Harness) {
     let mut group = c.benchmark_group("parse-records/50k-points");
     group.sample_size(7);
     group.bench_function(BenchId::from_parameter("geom-col-1-fast-path"), |b| {
-        b.iter(|| parse_point_records(black_box(&col1), 1).len())
+        b.iter(|| RecordReader::new(1).read_points(black_box(&col1)).0.len())
     });
     group.bench_function(BenchId::from_parameter("geom-col-3-column-scan"), |b| {
-        b.iter(|| parse_point_records(black_box(&col3), 3).len())
+        b.iter(|| RecordReader::new(3).read_points(black_box(&col3)).0.len())
     });
     group.finish();
 }

@@ -38,9 +38,11 @@ use datagen::rng::StdRng;
 /// draws independent faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosSite {
-    /// A task in `cluster::pool::run_tasks_faulted` (sparklet stages).
+    /// A sparklet stage task (one `cluster::dispatch` unit per
+    /// partition).
     Task,
-    /// A morsel in `cluster::pool::run_morsels_faulted` (probe loops).
+    /// A probe morsel (one `cluster::dispatch` unit per morsel of
+    /// `PreparedSet`'s probe loop).
     Morsel,
     /// A DFS block read (transient errors) or `(block, replica)`
     /// corruption decision.

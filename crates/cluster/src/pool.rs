@@ -1,42 +1,48 @@
-//! Real parallel execution with per-task timing.
+//! Real parallel execution with per-unit timing.
 //!
-//! This is where the join work actually happens. Items are processed on
-//! `threads` OS threads under either dynamic (work-queue) or static
-//! (pre-chunked) scheduling — mirroring the Spark-vs-OpenMP-static
-//! contrast the paper analyses — and each item's wall-clock cost is
-//! recorded so the [`crate::sim`] replay can scale the run to any
+//! This is where the join work actually happens. Units of work are
+//! processed on `threads` OS threads under either dynamic (work-queue)
+//! or static (pre-chunked) scheduling — mirroring the Spark-vs-OpenMP-
+//! static contrast the paper analyses — and each unit's wall-clock cost
+//! is recorded so the [`crate::sim`] replay can scale the run to any
 //! cluster size.
+//!
+//! There is one entry point, [`dispatch`]. A unit is an index in
+//! `0..n`; the closure appends any number of results for it (a task
+//! appends one, a probe morsel its pairs), and the driver stitches the
+//! per-unit output back in index order. Every panic is caught and the
+//! unit retried under the [`RetryPolicy`]; what happens to a unit that
+//! exhausts its attempts is the caller's decision.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// How items are handed to worker threads.
+/// How units are handed to worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleMode {
-    /// Shared counter; each worker grabs the next unprocessed item.
+    /// Shared counter; each worker grabs the next unprocessed unit.
     Dynamic,
     /// Contiguous chunks assigned up front (OpenMP `schedule(static)`).
     Static,
-    /// Static assignment by a per-item locality hint (Impala's
+    /// Static assignment by a per-unit locality hint (Impala's
     /// scan-range assignment, stood in for by the grid/STR partition of
-    /// the data): item `i` is pre-assigned to worker `hint[i] % threads`.
-    /// Items without a hint — or runs without any hints at all, such as
-    /// [`run_tasks`] and plain [`run_morsels`] — fall back to static
-    /// chunking. Hints are supplied via [`run_morsels_hinted`].
+    /// the data): unit `i` is pre-assigned to worker `hints[i] % threads`.
+    /// Units without a hint — including every unit of a run with empty
+    /// [`PoolOptions::hints`] — fall back to static chunking.
     StaticLocality,
 }
 
-/// Worker pre-assigned to item `i` of `n` under static chunking — the
-/// exact inverse of the `[w*n/threads, (w+1)*n/threads)` chunk bounds
-/// the static arms iterate, so hint fallback and plain static mode
-/// agree on every item.
+/// Worker pre-assigned to unit `i` of `n` under static chunking — the
+/// exact inverse of the `[w*n/threads, (w+1)*n/threads)` chunk bounds,
+/// so hint fallback and plain static mode agree on every unit.
 #[inline]
 fn chunk_worker(i: usize, n: usize, threads: usize) -> usize {
     ((i + 1) * threads).div_ceil(n.max(1)).saturating_sub(1)
 }
 
-/// Worker pre-assigned to item `i` under [`ScheduleMode::StaticLocality`]:
+/// Worker pre-assigned to unit `i` under [`ScheduleMode::StaticLocality`]:
 /// the hinted worker when a hint exists, the static chunk otherwise.
 #[inline]
 fn hinted_worker(i: usize, n: usize, threads: usize, hints: &[usize]) -> usize {
@@ -46,18 +52,18 @@ fn hinted_worker(i: usize, n: usize, threads: usize, hints: &[usize]) -> usize {
     }
 }
 
-/// Measured timing of one item.
+/// Measured timing of one unit.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskTiming {
-    /// Item index in the input order.
+    /// Unit index in the input order.
     pub index: usize,
-    /// Worker thread that ran the item.
+    /// Worker thread that ran the unit.
     pub worker: usize,
-    /// Wall-clock seconds the item took.
+    /// Wall-clock seconds the unit took, every attempt included.
     pub secs: f64,
 }
 
-/// The obs dispatch label for a schedule mode. Items are charged to the
+/// The obs dispatch label for a schedule mode. Units are charged to the
 /// *requested* mode even where the implementation degenerates (locality
 /// without hints, the single-thread inline path), so counters are
 /// identical across thread counts.
@@ -74,388 +80,7 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Runs `f` over `items` on `threads` threads, returning the results in
-/// input order together with per-item timings.
-///
-/// The closure runs on multiple threads, hence `Sync`; results are
-/// collected per worker and stitched back in order. Worker-side obs
-/// counters are folded into the calling thread's cells; use
-/// [`run_tasks_observed`] to receive them explicitly instead.
-pub fn run_tasks<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>)
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let (results, timings, exec) = run_tasks_observed(items, threads, mode, f);
-    obs::add_thread(&exec.worker_counters);
-    (results, timings)
-}
-
-/// [`run_tasks`] returning an [`obs::ExecStats`]: the scoped workers'
-/// counters (zero on the inline single-thread path, where counts land in
-/// the calling thread's cells) plus per-worker busy/wait accounting.
-pub fn run_tasks_observed<T, R, F>(
-    items: Vec<T>,
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>, obs::ExecStats)
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.max(1);
-    let n = items.len();
-    let dmode = dispatch_mode(mode);
-    if n == 0 {
-        return (Vec::new(), Vec::new(), obs::ExecStats::default());
-    }
-    // Single-threaded fast path keeps the measurement overhead obvious.
-    if threads == 1 {
-        let mut results = Vec::with_capacity(n);
-        let mut timings = Vec::with_capacity(n);
-        let mut busy_ns: u64 = 0;
-        for (index, item) in items.iter().enumerate() {
-            let t0 = Instant::now();
-            results.push(f(item));
-            let elapsed = t0.elapsed();
-            busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-            obs::morsel(dmode);
-            timings.push(TaskTiming {
-                index,
-                worker: 0,
-                secs: elapsed.as_secs_f64(),
-            });
-        }
-        let exec = obs::ExecStats {
-            worker_counters: obs::Counters::default(),
-            workers: vec![obs::WorkerStats {
-                worker: 0,
-                items: n as u64,
-                busy_ns,
-                wait_ns: 0,
-            }],
-        };
-        return (results, timings, exec);
-    }
-
-    let counter = AtomicUsize::new(0);
-    let items_ref = &items;
-    let f_ref = &f;
-    let mut per_worker: Vec<Vec<(usize, R, f64)>> = Vec::with_capacity(threads);
-    let mut exec = obs::ExecStats::default();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let counter = &counter;
-            handles.push(scope.spawn(move || {
-                let wall0 = Instant::now();
-                let mut busy_ns: u64 = 0;
-                let mut local: Vec<(usize, R, f64)> = Vec::with_capacity(n / threads + 1);
-                match mode {
-                    ScheduleMode::Dynamic => loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let r = f_ref(&items_ref[i]);
-                        let elapsed = t0.elapsed();
-                        busy_ns =
-                            busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-                        obs::morsel(dmode);
-                        local.push((i, r, elapsed.as_secs_f64()));
-                    },
-                    // run_tasks carries no per-item hints, so locality
-                    // degenerates to its static-chunking fallback.
-                    ScheduleMode::Static | ScheduleMode::StaticLocality => {
-                        let start = (w * n) / threads;
-                        let end = ((w + 1) * n) / threads;
-                        for (off, item) in items_ref[start..end].iter().enumerate() {
-                            let t0 = Instant::now();
-                            let r = f_ref(item);
-                            let elapsed = t0.elapsed();
-                            busy_ns = busy_ns
-                                .saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-                            obs::morsel(dmode);
-                            local.push((start + off, r, elapsed.as_secs_f64()));
-                        }
-                    }
-                }
-                let wall_ns = elapsed_ns(wall0);
-                let stats = obs::WorkerStats {
-                    worker: w,
-                    items: local.len() as u64,
-                    busy_ns,
-                    wait_ns: wall_ns.saturating_sub(busy_ns),
-                };
-                // Fresh scoped threads start with zeroed cells, so the
-                // drain is exactly what this worker accumulated.
-                (local, stats, obs::take_thread())
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok((local, stats, counters)) => {
-                    per_worker.push(local);
-                    exec.workers.push(stats);
-                    exec.worker_counters = exec.worker_counters.plus(&counters);
-                }
-                // A worker panicking is a bug in the caller's closure;
-                // surface it on the driver thread with the same message.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    // Stitch results back into input order. Workers process disjoint
-    // index sets covering 0..n, so sorting the tagged results restores
-    // the original order without an Option-per-slot intermediate.
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (w, local) in per_worker.into_iter().enumerate() {
-        for (index, r, secs) in local {
-            indexed.push((index, r));
-            timings.push(TaskTiming {
-                index,
-                worker: w,
-                secs,
-            });
-        }
-    }
-    timings.sort_by_key(|t| t.index);
-    indexed.sort_by_key(|&(index, _)| index);
-    let results = indexed.into_iter().map(|(_, r)| r).collect();
-    (results, timings, exec)
-}
-
-/// Runs `f` over fixed-size morsels (slices of some larger input) on
-/// `threads` threads, concatenating the per-morsel output segments back
-/// in input order.
-///
-/// Unlike [`run_tasks`], the closure appends an arbitrary number of
-/// results per morsel into that morsel's own output segment; the
-/// driver stitches the segments in morsel order into one presized
-/// result, so the concatenated output is byte-identical to running the
-/// morsels serially. Timings are per morsel, indexed by morsel
-/// position.
-pub fn run_morsels<T, R, F>(
-    morsels: &[&[T]],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    run_morsels_hinted(morsels, &[], threads, mode, f)
-}
-
-/// [`run_morsels`] returning an [`obs::ExecStats`] (see
-/// [`run_tasks_observed`] for the collection contract).
-pub fn run_morsels_observed<T, R, F>(
-    morsels: &[&[T]],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>, obs::ExecStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    run_morsels_hinted_observed(morsels, &[], threads, mode, f)
-}
-
-/// [`run_morsels`] with per-morsel locality hints.
-///
-/// `hints[i]` is morsel `i`'s preferred-worker key (a partition or
-/// block id — any `usize`; it is taken modulo `threads`). Hints only
-/// decide *who* runs a morsel under [`ScheduleMode::StaticLocality`];
-/// output order and content are identical to every other mode. A
-/// `hints` slice shorter than `morsels` (including empty) falls back to
-/// static chunking for the uncovered tail.
-pub fn run_morsels_hinted<T, R, F>(
-    morsels: &[&[T]],
-    hints: &[usize],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    let (out, timings, exec) = run_morsels_hinted_observed(morsels, hints, threads, mode, f);
-    obs::add_thread(&exec.worker_counters);
-    (out, timings)
-}
-
-/// [`run_morsels_hinted`] returning an [`obs::ExecStats`] (see
-/// [`run_tasks_observed`] for the collection contract).
-pub fn run_morsels_hinted_observed<T, R, F>(
-    morsels: &[&[T]],
-    hints: &[usize],
-    threads: usize,
-    mode: ScheduleMode,
-    f: F,
-) -> (Vec<R>, Vec<TaskTiming>, obs::ExecStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], &mut Vec<R>) + Sync,
-{
-    let threads = threads.max(1);
-    let n = morsels.len();
-    let dmode = dispatch_mode(mode);
-    if n == 0 {
-        return (Vec::new(), Vec::new(), obs::ExecStats::default());
-    }
-    if threads == 1 {
-        let mut out = Vec::new();
-        let mut timings = Vec::with_capacity(n);
-        let mut busy_ns: u64 = 0;
-        for (index, m) in morsels.iter().enumerate() {
-            let t0 = Instant::now();
-            f(m, &mut out);
-            let elapsed = t0.elapsed();
-            busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-            obs::morsel(dmode);
-            timings.push(TaskTiming {
-                index,
-                worker: 0,
-                secs: elapsed.as_secs_f64(),
-            });
-        }
-        let exec = obs::ExecStats {
-            worker_counters: obs::Counters::default(),
-            workers: vec![obs::WorkerStats {
-                worker: 0,
-                items: n as u64,
-                busy_ns,
-                wait_ns: 0,
-            }],
-        };
-        return (out, timings, exec);
-    }
-
-    let counter = AtomicUsize::new(0);
-    let f_ref = &f;
-    // Each worker returns, per morsel it ran, `(morsel index, output
-    // segment, secs)`. Every morsel appends into a segment of its own
-    // (presized to the worker's previous segment), so no morsel pays
-    // for re-growing output that earlier morsels wrote.
-    type Segs<R> = Vec<(usize, Vec<R>, f64)>;
-    let mut per_worker: Vec<Segs<R>> = Vec::with_capacity(threads);
-    let mut exec = obs::ExecStats::default();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let counter = &counter;
-            handles.push(scope.spawn(move || {
-                let wall0 = Instant::now();
-                let mut busy_ns: u64 = 0;
-                let mut segs: Segs<R> = Vec::with_capacity(n / threads + 1);
-                let mut last_len = 0usize;
-                let mut run = |i: usize, m: &[T]| {
-                    let t0 = Instant::now();
-                    let mut seg = Vec::with_capacity(last_len);
-                    f_ref(m, &mut seg);
-                    let elapsed = t0.elapsed();
-                    busy_ns =
-                        busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-                    obs::morsel(dmode);
-                    last_len = seg.len();
-                    segs.push((i, seg, elapsed.as_secs_f64()));
-                };
-                match mode {
-                    ScheduleMode::Dynamic => loop {
-                        let i = counter.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        run(i, morsels[i]);
-                    },
-                    ScheduleMode::Static => {
-                        let start = (w * n) / threads;
-                        let end = ((w + 1) * n) / threads;
-                        for i in start..end {
-                            run(i, morsels[i]);
-                        }
-                    }
-                    ScheduleMode::StaticLocality => {
-                        for i in 0..n {
-                            if hinted_worker(i, n, threads, hints) == w {
-                                run(i, morsels[i]);
-                            }
-                        }
-                    }
-                }
-                drop(run);
-                let wall_ns = elapsed_ns(wall0);
-                let stats = obs::WorkerStats {
-                    worker: w,
-                    items: segs.len() as u64,
-                    busy_ns,
-                    wait_ns: wall_ns.saturating_sub(busy_ns),
-                };
-                (segs, stats, obs::take_thread())
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok((segs, stats, counters)) => {
-                    per_worker.push(segs);
-                    exec.workers.push(stats);
-                    exec.worker_counters = exec.worker_counters.plus(&counters);
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    // Stitch: order the segments by morsel index and move each into
-    // one result presized to the total — no element is cloned and the
-    // result never re-grows.
-    let mut order: Vec<(usize, Vec<R>)> = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    for (w, segs) in per_worker.into_iter().enumerate() {
-        for (index, seg, secs) in segs {
-            order.push((index, seg));
-            timings.push(TaskTiming {
-                index,
-                worker: w,
-                secs,
-            });
-        }
-    }
-    order.sort_unstable_by_key(|&(index, _)| index);
-    timings.sort_by_key(|t| t.index);
-    let total: usize = order.iter().map(|(_, seg)| seg.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for (_, mut seg) in order {
-        out.append(&mut seg);
-    }
-    (out, timings, exec)
-}
-
-// ---------------------------------------------------------------------
-// fault-tolerant execution: catch_unwind capture + bounded re-dispatch
-// ---------------------------------------------------------------------
-
-/// How many times a panicking item is re-dispatched before it is
+/// How many times a panicking unit is re-dispatched before it is
 /// reported as failed, and how long to back off between attempts.
 ///
 /// `max_attempts` counts *total* attempts, so `RetryPolicy::none()`
@@ -463,14 +88,14 @@ where
 /// `attempts(3)` allows two re-dispatches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per item, including the first. Clamped to ≥ 1.
+    /// Total attempts per unit, including the first. Clamped to ≥ 1.
     pub max_attempts: u32,
     /// Sleep between attempts (a stand-in for task re-launch latency).
     pub backoff: Duration,
 }
 
 impl RetryPolicy {
-    /// One attempt, no backoff: a panic fails the item immediately.
+    /// One attempt, no backoff: a panic fails the unit immediately.
     pub fn none() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
@@ -493,12 +118,12 @@ impl Default for RetryPolicy {
     }
 }
 
-/// One item that still had a panic in flight after every permitted
+/// One unit that still had a panic in flight after every permitted
 /// attempt. The panic payload is flattened to its message so failures
 /// stay `Send + Clone` and printable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskFailure {
-    /// Item index in the input order.
+    /// Unit index in the input order.
     pub index: usize,
     /// Attempts consumed (equals the policy's `max_attempts`).
     pub attempts: u32,
@@ -506,7 +131,7 @@ pub struct TaskFailure {
     pub message: String,
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).into()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -516,411 +141,275 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Outcome of [`run_tasks_faulted`]: results in input order with
-/// `None` holes where an item exhausted its attempts.
-#[derive(Debug)]
-pub struct FaultedTasks<R> {
-    /// Per-item results in input order; `None` marks a failed item.
-    pub results: Vec<Option<R>>,
-    /// Items that exhausted every attempt, in index order.
-    pub failures: Vec<TaskFailure>,
-    /// Timings of successful items (covering all attempts, including
-    /// failed ones that were retried).
-    pub timings: Vec<TaskTiming>,
-    /// Worker counters and busy/wait accounting.
-    pub exec: obs::ExecStats,
+/// Everything a caller of [`dispatch`] can set.
+#[derive(Debug, Clone, Copy)]
+pub struct PoolOptions<'a> {
+    /// Worker threads; 1 runs every unit inline on the calling thread.
+    pub threads: usize,
+    /// How units are handed to workers.
+    pub mode: ScheduleMode,
+    /// Per-unit preferred-worker keys (a partition or block id — any
+    /// `usize`, taken modulo `threads`), read only under
+    /// [`ScheduleMode::StaticLocality`]. Hints decide *who* runs a
+    /// unit, never what it appends; a slice shorter than `n` (including
+    /// empty) falls back to static chunking for the uncovered tail.
+    pub hints: &'a [usize],
+    /// Attempts per unit before it is reported as a [`TaskFailure`].
+    pub retry: RetryPolicy,
 }
 
-impl<R> FaultedTasks<R> {
-    /// True when every item completed.
-    pub fn all_ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Unwraps into plain results when nothing failed.
-    pub fn into_results(self) -> Result<Vec<R>, Vec<TaskFailure>> {
-        if self.failures.is_empty() {
-            Ok(self.results.into_iter().flatten().collect())
-        } else {
-            Err(self.failures)
+impl PoolOptions<'static> {
+    /// `threads` workers under `mode`, no hints, one attempt per unit.
+    pub fn new(threads: usize, mode: ScheduleMode) -> PoolOptions<'static> {
+        PoolOptions {
+            threads,
+            mode,
+            hints: &[],
+            retry: RetryPolicy::none(),
         }
     }
 }
 
-/// Outcome of [`run_morsels_faulted`]: the stitched output of every
-/// *successful* morsel (failed morsels contribute nothing — their
-/// partial output is rolled back, never leaked).
+/// Outcome of [`dispatch`].
 #[derive(Debug)]
-pub struct FaultedMorsels<R> {
-    /// Concatenated output of successful morsels, in input order.
+pub struct PoolRun<R> {
+    /// Concatenated output of the successful units, in index order. A
+    /// failed unit contributes nothing: its partial output is rolled
+    /// back, never leaked.
     pub out: Vec<R>,
-    /// Morsels that exhausted every attempt, in index order.
-    pub failures: Vec<TaskFailure>,
-    /// Timings of successful morsels.
+    /// Timings of the successful units, in index order.
     pub timings: Vec<TaskTiming>,
-    /// Worker counters and busy/wait accounting.
+    /// Units that exhausted every attempt, in index order.
+    pub failures: Vec<TaskFailure>,
+    /// Scoped-worker obs counters (zero on the inline single-thread
+    /// path, where counts land in the calling thread's cells) plus
+    /// per-worker busy/wait accounting. The pool never folds the
+    /// counters into the calling thread; callers that want them there
+    /// say so with [`PoolRun::fold_counters`].
     pub exec: obs::ExecStats,
 }
 
-impl<R> FaultedMorsels<R> {
-    /// True when every morsel completed.
-    pub fn all_ok(&self) -> bool {
-        self.failures.is_empty()
+impl<R> PoolRun<R> {
+    /// Adds the scoped workers' obs counters to the calling thread's
+    /// cells, so a snapshot around the call sees the whole run.
+    pub fn fold_counters(self) -> PoolRun<R> {
+        obs::add_thread(&self.exec.worker_counters);
+        self
     }
-}
 
-/// Runs one item to completion or exhaustion under `policy`, capturing
-/// panics with `catch_unwind`. Returns the result and the attempts
-/// consumed. The closure receives the zero-based attempt number so a
-/// deterministic injector can fail early attempts and pass later ones.
-fn attempt_loop<R>(
-    policy: RetryPolicy,
-    mut body: impl FnMut(u32) -> R,
-) -> (Result<R, String>, u32) {
-    let max = policy.max_attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| body(attempt))) {
-            Ok(r) => return (Ok(r), attempt + 1),
-            Err(payload) => {
-                attempt += 1;
-                if attempt >= max {
-                    return (Err(panic_message(payload.as_ref())), attempt);
-                }
-                obs::task_retry();
-                if !policy.backoff.is_zero() {
-                    std::thread::sleep(policy.backoff);
-                }
-            }
+    /// For callers with no recovery: re-raises the first failure's
+    /// panic message on the calling thread, or returns the run.
+    pub fn reraise(self) -> PoolRun<R> {
+        match self.failures.first() {
+            Some(failure) => raise(Box::new(failure.message.clone())),
+            None => self,
         }
     }
 }
 
-/// [`run_tasks`] with panic capture and bounded re-dispatch.
-///
-/// Each item runs under `catch_unwind`; a panicking attempt is retried
-/// in place (bounded by `policy`) and an item that exhausts its
-/// attempts becomes a `None` hole plus a [`TaskFailure`] — the driver
-/// never unwinds. On an all-success run the results are bit-identical
-/// to [`run_tasks`] at any thread count. The closure additionally
-/// receives `(index, attempt)` so fault injectors can key decisions.
-pub fn run_tasks_faulted<T, R, F>(
-    items: &[T],
-    threads: usize,
-    mode: ScheduleMode,
-    policy: RetryPolicy,
-    f: F,
-) -> FaultedTasks<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, u32, &T) -> R + Sync,
-{
-    let threads = threads.max(1);
-    let n = items.len();
-    let dmode = dispatch_mode(mode);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut failures: Vec<TaskFailure> = Vec::new();
-    let mut timings: Vec<TaskTiming> = Vec::with_capacity(n);
-    let mut exec = obs::ExecStats::default();
-    if n == 0 {
-        return FaultedTasks {
-            results,
-            failures,
-            timings,
-            exec,
+/// Resumes a panic on the calling thread — the pool's one unwind site.
+fn raise(payload: Box<dyn Any + Send>) -> ! {
+    std::panic::resume_unwind(payload)
+}
+
+/// What one worker hands back to the stitch.
+struct WorkerOut<R> {
+    /// `(timing, output segment)` per successful unit.
+    done: Vec<(TaskTiming, Vec<R>)>,
+    failures: Vec<TaskFailure>,
+    stats: obs::WorkerStats,
+}
+
+/// Every static-mode worker's units, worked out once by a counting
+/// sort over the unit → worker map: worker `w` runs
+/// `units[starts[w]..starts[w + 1]]`, in index order.
+struct StaticPlan {
+    units: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+impl StaticPlan {
+    fn new(n: usize, threads: usize, mode: ScheduleMode, hints: &[usize]) -> StaticPlan {
+        let worker_of = |i| match mode {
+            ScheduleMode::StaticLocality => hinted_worker(i, n, threads, hints),
+            _ => chunk_worker(i, n, threads),
         };
-    }
-
-    // Per-item work shared by the inline and threaded paths.
-    type Ran<R> = (usize, Result<R, (u32, String)>, f64);
-    let run_one = |i: usize| -> Ran<R> {
-        let t0 = Instant::now();
-        let (outcome, attempts) = attempt_loop(policy, |attempt| f(i, attempt, &items[i]));
-        obs::morsel(dmode);
-        let secs = t0.elapsed().as_secs_f64();
-        match outcome {
-            Ok(r) => (i, Ok(r), secs),
-            Err(message) => (i, Err((attempts, message)), secs),
-        }
-    };
-
-    let mut place = |ran: Ran<R>, worker: usize| {
-        let (index, outcome, secs) = ran;
-        match outcome {
-            Ok(r) => {
-                results[index] = Some(r);
-                timings.push(TaskTiming {
-                    index,
-                    worker,
-                    secs,
-                });
-            }
-            Err((attempts, message)) => failures.push(TaskFailure {
-                index,
-                attempts,
-                message,
-            }),
-        }
-    };
-
-    if threads == 1 {
-        let mut busy_ns: u64 = 0;
+        let mut starts = vec![0usize; threads + 1];
         for i in 0..n {
-            let t0 = Instant::now();
-            let ran = run_one(i);
-            busy_ns = busy_ns.saturating_add(elapsed_ns(t0));
-            place(ran, 0);
+            starts[worker_of(i) + 1] += 1;
         }
-        exec.workers.push(obs::WorkerStats {
-            worker: 0,
-            items: n as u64,
-            busy_ns,
-            wait_ns: 0,
-        });
-    } else {
-        let counter = AtomicUsize::new(0);
-        let run_ref = &run_one;
-        let mut per_worker: Vec<Vec<Ran<R>>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let counter = &counter;
-                handles.push(scope.spawn(move || {
-                    let wall0 = Instant::now();
-                    let mut busy_ns: u64 = 0;
-                    let mut local: Vec<Ran<R>> = Vec::with_capacity(n / threads + 1);
-                    match mode {
-                        ScheduleMode::Dynamic => loop {
-                            let i = counter.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            local.push(run_ref(i));
-                            busy_ns = busy_ns.saturating_add(elapsed_ns(t0));
-                        },
-                        ScheduleMode::Static | ScheduleMode::StaticLocality => {
-                            let start = (w * n) / threads;
-                            let end = ((w + 1) * n) / threads;
-                            for i in start..end {
-                                let t0 = Instant::now();
-                                local.push(run_ref(i));
-                                busy_ns = busy_ns.saturating_add(elapsed_ns(t0));
-                            }
-                        }
-                    }
-                    let wall_ns = elapsed_ns(wall0);
-                    let stats = obs::WorkerStats {
-                        worker: w,
-                        items: local.len() as u64,
-                        busy_ns,
-                        wait_ns: wall_ns.saturating_sub(busy_ns),
-                    };
-                    (local, stats, obs::take_thread())
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok((local, stats, counters)) => {
-                        per_worker.push(local);
-                        exec.workers.push(stats);
-                        exec.worker_counters = exec.worker_counters.plus(&counters);
-                    }
-                    // Workers cannot unwind out of attempt_loop; a join
-                    // error means the runtime itself failed.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        for (w, local) in per_worker.into_iter().enumerate() {
-            for ran in local {
-                place(ran, w);
-            }
+        for w in 0..threads {
+            starts[w + 1] += starts[w];
         }
+        let mut next = starts.clone();
+        let mut units = vec![0usize; n];
+        for i in 0..n {
+            let w = worker_of(i);
+            units[next[w]] = i;
+            next[w] += 1;
+        }
+        StaticPlan { units, starts }
     }
-    drop(place);
-    timings.sort_by_key(|t| t.index);
-    failures.sort_by_key(|fl| fl.index);
-    FaultedTasks {
-        results,
-        failures,
-        timings,
-        exec,
+
+    fn units(&self, w: usize) -> &[usize] {
+        &self.units[self.starts[w]..self.starts[w + 1]]
     }
 }
 
-/// [`run_morsels_hinted`] with panic capture and bounded re-dispatch.
+/// Runs units `0..n` on `opts.threads` threads and stitches their
+/// output back in index order.
 ///
-/// A panicking attempt has its partial output rolled back (the buffer
-/// is truncated to the pre-morsel length) before the morsel is retried
-/// or reported failed, so failed attempts never leak rows and an
-/// all-success run is bit-identical to the plain path at any thread
-/// count. The closure receives `(index, attempt, morsel, out)`.
-pub fn run_morsels_faulted<T, R, F>(
-    morsels: &[&[T]],
-    hints: &[usize],
-    threads: usize,
-    mode: ScheduleMode,
-    policy: RetryPolicy,
-    f: F,
-) -> FaultedMorsels<R>
+/// `f(index, attempt, out)` appends unit `index`'s results to `out`,
+/// a segment of the unit's own (presized to the worker's previous
+/// segment, so no unit re-grows output an earlier unit wrote). A
+/// panicking attempt is caught, its segment cleared, and the unit
+/// re-run under `opts.retry` with the next `attempt` number — so a
+/// deterministic injector can fail early attempts and pass later ones.
+/// The concatenated output of the successful units is byte-identical
+/// to running them serially, at any thread count and in every mode.
+pub fn dispatch<R, F>(n: usize, opts: PoolOptions<'_>, f: F) -> PoolRun<R>
 where
-    T: Sync,
     R: Send,
-    F: Fn(usize, u32, &[T], &mut Vec<R>) + Sync,
+    F: Fn(usize, u32, &mut Vec<R>) + Sync,
 {
-    let threads = threads.max(1);
-    let n = morsels.len();
-    let dmode = dispatch_mode(mode);
+    let threads = opts.threads.max(1);
+    let dmode = dispatch_mode(opts.mode);
+    let max_attempts = opts.retry.max_attempts.max(1);
     if n == 0 {
-        return FaultedMorsels {
+        return PoolRun {
             out: Vec::new(),
-            failures: Vec::new(),
             timings: Vec::new(),
+            failures: Vec::new(),
             exec: obs::ExecStats::default(),
         };
     }
+    let plan = match opts.mode {
+        ScheduleMode::Dynamic => None,
+        mode => Some(StaticPlan::new(n, threads, mode, opts.hints)),
+    };
+    let counter = AtomicUsize::new(0);
 
-    let f_ref = &f;
-    // Per worker: output buffer, successful `(index, len, secs)`
-    // segments, and failures.
-    type Segs = Vec<(usize, usize, f64)>;
-    type WorkerOut<R> = (Vec<R>, Segs, Vec<TaskFailure>);
-    let worker_loop = |w: usize, pick: &dyn Fn(usize) -> bool, next: Option<&AtomicUsize>| {
-        let mut buf: Vec<R> = Vec::new();
-        let mut segs: Segs = Vec::with_capacity(n / threads + 1);
-        let mut failures: Vec<TaskFailure> = Vec::new();
-        let mut busy_ns: u64 = 0;
+    let worker = |w: usize| -> WorkerOut<R> {
         let wall0 = Instant::now();
+        let mut busy_ns: u64 = 0;
+        let mut done = Vec::with_capacity(n / threads + 1);
+        let mut failures = Vec::new();
+        let mut last_len = 0usize;
         let mut run = |i: usize| {
-            let before = buf.len();
             let t0 = Instant::now();
-            let (outcome, attempts) = attempt_loop(policy, |attempt| {
-                // Roll back the previous attempt's partial output
-                // before re-running, preserving the stitch contract.
-                buf.truncate(before);
-                f_ref(i, attempt, morsels[i], &mut buf);
-            });
-            let elapsed = t0.elapsed();
-            busy_ns = busy_ns.saturating_add(elapsed.as_nanos().min(u64::MAX as u128) as u64);
-            obs::morsel(dmode);
-            match outcome {
-                Ok(()) => segs.push((i, buf.len() - before, elapsed.as_secs_f64())),
-                Err(message) => {
-                    buf.truncate(before);
-                    failures.push(TaskFailure {
-                        index: i,
-                        attempts,
-                        message,
-                    });
+            // Allocated before the unit runs, even for a worker's first
+            // unit: a segment allocated after the unit's own buffers
+            // would sit above them in the worker's heap and, freed only
+            // at the stitch, keep the allocator from trimming it.
+            let mut seg = Vec::with_capacity(last_len.max(1));
+            let mut attempt = 0u32;
+            let failed = loop {
+                match catch_unwind(AssertUnwindSafe(|| f(i, attempt, &mut seg))) {
+                    Ok(()) => break None,
+                    Err(payload) => {
+                        seg.clear();
+                        attempt += 1;
+                        if attempt >= max_attempts {
+                            break Some(panic_message(payload.as_ref()));
+                        }
+                        obs::task_retry();
+                        if !opts.retry.backoff.is_zero() {
+                            std::thread::sleep(opts.retry.backoff);
+                        }
+                    }
                 }
+            };
+            let ns = elapsed_ns(t0);
+            busy_ns = busy_ns.saturating_add(ns);
+            obs::morsel(dmode);
+            match failed {
+                None => {
+                    last_len = seg.len();
+                    let timing = TaskTiming {
+                        index: i,
+                        worker: w,
+                        secs: ns as f64 / 1e9,
+                    };
+                    done.push((timing, seg));
+                }
+                Some(message) => failures.push(TaskFailure {
+                    index: i,
+                    attempts: attempt,
+                    message,
+                }),
             }
         };
-        match next {
-            Some(counter) => loop {
+        match &plan {
+            None => loop {
                 let i = counter.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 run(i);
             },
-            None => {
-                for i in 0..n {
-                    if pick(i) {
-                        run(i);
-                    }
-                }
-            }
+            Some(plan) => plan.units(w).iter().for_each(|&i| run(i)),
         }
-        drop(run);
-        let wall_ns = elapsed_ns(wall0);
-        let stats = obs::WorkerStats {
-            worker: w,
-            items: segs.len() as u64 + failures.len() as u64,
-            busy_ns,
-            wait_ns: wall_ns.saturating_sub(busy_ns),
-        };
-        ((buf, segs, failures), stats)
+        let items = (done.len() + failures.len()) as u64;
+        WorkerOut {
+            done,
+            failures,
+            stats: obs::WorkerStats {
+                worker: w,
+                items,
+                busy_ns,
+                wait_ns: elapsed_ns(wall0).saturating_sub(busy_ns),
+            },
+        }
     };
 
-    let mut per_worker: Vec<WorkerOut<R>> = Vec::with_capacity(threads);
     let mut exec = obs::ExecStats::default();
+    let mut workers = Vec::with_capacity(threads);
     if threads == 1 {
-        let (wout, stats) = worker_loop(0, &|_| true, None);
-        per_worker.push(wout);
-        exec.workers.push(stats);
+        workers.push(worker(0));
     } else {
-        let counter = AtomicUsize::new(0);
-        let worker_ref = &worker_loop;
+        let worker = &worker;
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let counter = &counter;
-                handles.push(scope.spawn(move || {
-                    let (wout, stats) = match mode {
-                        ScheduleMode::Dynamic => worker_ref(w, &|_| true, Some(counter)),
-                        ScheduleMode::Static => worker_ref(
-                            w,
-                            &move |i| {
-                                let start = (w * n) / threads;
-                                let end = ((w + 1) * n) / threads;
-                                i >= start && i < end
-                            },
-                            None,
-                        ),
-                        ScheduleMode::StaticLocality => {
-                            worker_ref(w, &move |i| hinted_worker(i, n, threads, hints) == w, None)
-                        }
-                    };
-                    (wout, stats, obs::take_thread())
-                }));
-            }
+            let handles: Vec<_> = (0..threads)
+                // Fresh scoped threads start with zeroed cells, so the
+                // drain is exactly what this worker accumulated.
+                .map(|w| scope.spawn(move || (worker(w), obs::take_thread())))
+                .collect();
             for h in handles {
                 match h.join() {
-                    Ok((wout, stats, counters)) => {
-                        per_worker.push(wout);
-                        exec.workers.push(stats);
+                    Ok((wout, counters)) => {
                         exec.worker_counters = exec.worker_counters.plus(&counters);
+                        workers.push(wout);
                     }
-                    Err(payload) => std::panic::resume_unwind(payload),
+                    // Units never unwind out of the catch above; a join
+                    // error means the worker loop itself failed.
+                    Err(payload) => raise(payload),
                 }
             }
         });
     }
 
-    // Stitch successful segments exactly like the plain path; failed
-    // morsels recorded nothing, so they simply leave a gap.
-    let mut order: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
-    let mut timings = Vec::with_capacity(n);
-    let mut failures: Vec<TaskFailure> = Vec::new();
-    for (w, (_, segs, fails)) in per_worker.iter().enumerate() {
-        for &(index, len, secs) in segs {
-            order.push((index, w, len));
-            timings.push(TaskTiming {
-                index,
-                worker: w,
-                secs,
-            });
-        }
-        failures.extend(fails.iter().cloned());
+    // Stitch: order the segments by unit index and move each into one
+    // result presized to the total — no element is cloned and the
+    // result never re-grows.
+    let mut done = Vec::with_capacity(n);
+    let mut failures = Vec::new();
+    for wout in workers {
+        exec.workers.push(wout.stats);
+        done.extend(wout.done);
+        failures.extend(wout.failures);
     }
-    order.sort_unstable_by_key(|&(index, _, _)| index);
-    timings.sort_by_key(|t| t.index);
-    failures.sort_by_key(|fl| fl.index);
-    let total: usize = order.iter().map(|&(_, _, len)| len).sum();
-    let mut iters: Vec<std::vec::IntoIter<R>> = per_worker
-        .into_iter()
-        .map(|(buf, _, _)| buf.into_iter())
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    for (_, w, len) in order {
-        out.extend(iters[w].by_ref().take(len));
+    done.sort_unstable_by_key(|(t, _)| t.index);
+    failures.sort_unstable_by_key(|fl| fl.index);
+    let mut out = Vec::with_capacity(done.iter().map(|(_, seg)| seg.len()).sum());
+    let mut timings = Vec::with_capacity(done.len());
+    for (timing, mut seg) in done {
+        timings.push(timing);
+        out.append(&mut seg);
     }
-    FaultedMorsels {
+    PoolRun {
         out,
-        failures,
         timings,
+        failures,
         exec,
     }
 }
@@ -929,180 +418,30 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn results_preserve_input_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
-            let (results, timings) = run_tasks(items.clone(), 4, mode, |&x| x * 2);
-            assert_eq!(results, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-            assert_eq!(timings.len(), 1000);
-            assert!(timings.iter().all(|t| t.secs >= 0.0));
-            // Timings are in index order after stitching.
-            assert!(timings.windows(2).all(|w| w[0].index < w[1].index));
-        }
+    const MODES: [ScheduleMode; 3] = [
+        ScheduleMode::Dynamic,
+        ScheduleMode::Static,
+        ScheduleMode::StaticLocality,
+    ];
+
+    /// Runs one result per item: the task shape.
+    fn tasks<T: Sync, R: Send>(
+        items: &[T],
+        opts: PoolOptions<'_>,
+        f: impl Fn(&T) -> R + Sync,
+    ) -> PoolRun<R> {
+        dispatch(items.len(), opts, |i, _, out| out.push(f(&items[i])))
     }
 
-    #[test]
-    fn static_mode_assigns_contiguous_chunks() {
-        let items: Vec<usize> = (0..100).collect();
-        let (_, timings) = run_tasks(items, 4, ScheduleMode::Static, |&x| x);
-        // Worker of item i must be i*4/100.
-        for t in &timings {
-            assert_eq!(t.worker, (t.index * 4) / 100);
-        }
-    }
-
-    #[test]
-    fn dynamic_mode_uses_multiple_workers() {
-        let items: Vec<u64> = (0..400).collect();
-        let (_, timings) = run_tasks(items, 4, ScheduleMode::Dynamic, |&x| {
-            // Enough work per item that no single worker grabs everything.
-            (0..2000).fold(x, |a, b| a.wrapping_add(b))
-        });
-        let workers: std::collections::HashSet<usize> = timings.iter().map(|t| t.worker).collect();
-        assert!(workers.len() > 1, "expected >1 worker, got {workers:?}");
-    }
-
-    #[test]
-    fn empty_and_single_item() {
-        let (r, t) = run_tasks(Vec::<u8>::new(), 4, ScheduleMode::Dynamic, |&x| x);
-        assert!(r.is_empty() && t.is_empty());
-        let (r, t) = run_tasks(vec![7u8], 8, ScheduleMode::Static, |&x| x + 1);
-        assert_eq!(r, vec![8]);
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn one_thread_runs_inline() {
-        let (r, t) = run_tasks(vec![1, 2, 3], 1, ScheduleMode::Dynamic, |&x| x * 10);
-        assert_eq!(r, vec![10, 20, 30]);
-        assert!(t.iter().all(|x| x.worker == 0));
-    }
-
-    fn chunked(items: &[u64], size: usize) -> Vec<&[u64]> {
-        items.chunks(size).collect()
-    }
-
-    #[test]
-    fn morsels_concatenate_in_input_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let serial: Vec<u64> = items.iter().flat_map(|&x| [x * 2, x * 2 + 1]).collect();
-        for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
-            for threads in [1, 3, 8] {
-                for size in [1, 7, 128] {
-                    let morsels = chunked(&items, size);
-                    let (out, timings) = run_morsels(&morsels, threads, mode, |m, buf| {
-                        for &x in m {
-                            buf.push(x * 2);
-                            buf.push(x * 2 + 1);
-                        }
-                    });
-                    assert_eq!(out, serial, "mode={mode:?} threads={threads} size={size}");
-                    assert_eq!(timings.len(), morsels.len());
-                    assert!(timings.windows(2).all(|w| w[0].index < w[1].index));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn morsels_with_uneven_output_counts() {
-        // Each morsel emits a different number of results (including 0).
-        let items: Vec<u64> = (0..101).collect();
-        let morsels = chunked(&items, 13);
-        let (out, _) = run_morsels(&morsels, 4, ScheduleMode::Dynamic, |m, buf| {
-            for &x in m {
-                for _ in 0..(x % 3) {
-                    buf.push(x);
-                }
-            }
-        });
-        let serial: Vec<u64> = items
-            .iter()
-            .flat_map(|&x| std::iter::repeat(x).take((x % 3) as usize))
-            .collect();
-        assert_eq!(out, serial);
-    }
-
-    #[test]
-    fn morsels_empty_input() {
-        let (out, t) = run_morsels::<u8, u8, _>(&[], 4, ScheduleMode::Static, |_, _| {});
-        assert!(out.is_empty() && t.is_empty());
-    }
-
-    #[test]
-    fn locality_hints_pin_morsels_to_workers() {
-        let items: Vec<u64> = (0..120).collect();
-        let morsels = chunked(&items, 1);
-        // Hint pattern: morsel i prefers worker (i % 3) of 4.
-        let hints: Vec<usize> = (0..morsels.len()).map(|i| i % 3).collect();
-        let (out, timings) = run_morsels_hinted(
-            &morsels,
-            &hints,
-            4,
-            ScheduleMode::StaticLocality,
-            |m, buf| buf.extend_from_slice(m),
-        );
-        assert_eq!(out, items, "locality must not change output order");
-        for t in &timings {
-            assert_eq!(t.worker, hints[t.index] % 4, "morsel {} misplaced", t.index);
-        }
-    }
-
-    #[test]
-    fn locality_without_hints_falls_back_to_static_chunks() {
-        let items: Vec<u64> = (0..103).collect();
-        let morsels = chunked(&items, 1);
-        let n = morsels.len();
-        let (out, timings) = run_morsels(&morsels, 4, ScheduleMode::StaticLocality, |m, buf| {
-            buf.extend_from_slice(m)
-        });
-        assert_eq!(out, items);
-        // Fallback worker must match the static chunk that owns index i.
-        for t in &timings {
-            let w = t.worker;
-            assert!(
-                t.index >= (w * n) / 4 && t.index < ((w + 1) * n) / 4,
-                "index {} outside worker {w}'s static chunk",
-                t.index
-            );
-        }
-    }
-
-    #[test]
-    fn partial_hints_cover_prefix_rest_chunked() {
-        let items: Vec<u64> = (0..60).collect();
-        let morsels = chunked(&items, 2);
-        let hints = vec![1usize; 10]; // only the first 10 morsels hinted
-        let (out, timings) = run_morsels_hinted(
-            &morsels,
-            &hints,
-            3,
-            ScheduleMode::StaticLocality,
-            |m, buf| buf.extend_from_slice(m),
-        );
-        assert_eq!(out, items);
-        for t in timings.iter().filter(|t| t.index < 10) {
-            assert_eq!(t.worker, 1);
-        }
-    }
-
-    #[test]
-    fn locality_output_identical_across_modes() {
-        let items: Vec<u64> = (0..500).collect();
-        let morsels = chunked(&items, 7);
-        let hints: Vec<usize> = (0..morsels.len()).map(|i| (i * 13) % 5).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        for threads in [1, 2, 5, 8] {
-            let (out, _) = run_morsels_hinted(
-                &morsels,
-                &hints,
-                threads,
-                ScheduleMode::StaticLocality,
-                |m, buf| buf.extend(m.iter().map(|&x| x * 3)),
-            );
-            assert_eq!(out, serial, "threads={threads}");
-        }
+    /// Runs `f` over chunks of `items`: the morsel shape.
+    fn morsels<R: Send>(
+        items: &[u64],
+        size: usize,
+        opts: PoolOptions<'_>,
+        f: impl Fn(&[u64], &mut Vec<R>) + Sync,
+    ) -> PoolRun<R> {
+        let chunks: Vec<&[u64]> = items.chunks(size).collect();
+        dispatch(chunks.len(), opts, |i, _, out| f(chunks[i], out))
     }
 
     /// Runs `f` with panic output suppressed — expected injected panics
@@ -1116,122 +455,284 @@ mod tests {
     }
 
     #[test]
-    fn faulted_tasks_without_faults_match_plain() {
-        let items: Vec<u64> = (0..300).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        for mode in [
-            ScheduleMode::Dynamic,
-            ScheduleMode::Static,
-            ScheduleMode::StaticLocality,
-        ] {
-            for threads in [1, 2, 7] {
-                let run =
-                    run_tasks_faulted(&items, threads, mode, RetryPolicy::none(), |_, _, &x| x * 3);
-                assert!(run.all_ok());
-                assert_eq!(run.into_results().ok(), Some(expected.clone()));
+    fn results_preserve_input_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
+            let run = tasks(&items, PoolOptions::new(4, mode), |&x| x * 2);
+            assert_eq!(run.out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+            assert_eq!(run.timings.len(), 1000);
+            assert!(run.timings.iter().all(|t| t.secs >= 0.0));
+            // Timings are in index order after stitching.
+            assert!(run.timings.windows(2).all(|w| w[0].index < w[1].index));
+        }
+    }
+
+    #[test]
+    fn static_mode_assigns_contiguous_chunks() {
+        let items: Vec<usize> = (0..100).collect();
+        let run = tasks(&items, PoolOptions::new(4, ScheduleMode::Static), |&x| x);
+        // Worker of item i must be i*4/100.
+        for t in &run.timings {
+            assert_eq!(t.worker, (t.index * 4) / 100);
+        }
+    }
+
+    #[test]
+    fn dynamic_mode_uses_multiple_workers() {
+        let items: Vec<u64> = (0..400).collect();
+        let run = tasks(&items, PoolOptions::new(4, ScheduleMode::Dynamic), |&x| {
+            // Enough work per item that no single worker grabs everything.
+            (0..2000).fold(x, |a, b| a.wrapping_add(b))
+        });
+        let workers: std::collections::HashSet<usize> =
+            run.timings.iter().map(|t| t.worker).collect();
+        assert!(workers.len() > 1, "expected >1 worker, got {workers:?}");
+    }
+
+    #[test]
+    fn empty_and_single_item() {
+        let run = tasks(
+            &[] as &[u8],
+            PoolOptions::new(4, ScheduleMode::Dynamic),
+            |&x| x,
+        );
+        assert!(run.out.is_empty() && run.timings.is_empty());
+        let run = tasks(&[7u8], PoolOptions::new(8, ScheduleMode::Static), |&x| {
+            x + 1
+        });
+        assert_eq!(run.out, vec![8]);
+        assert_eq!(run.timings.len(), 1);
+    }
+
+    #[test]
+    fn one_thread_runs_inline() {
+        let before = obs::thread_snapshot();
+        let run = tasks(
+            &[1, 2, 3],
+            PoolOptions::new(1, ScheduleMode::Dynamic),
+            |&x| x * 10,
+        );
+        assert_eq!(run.out, vec![10, 20, 30]);
+        assert!(run.timings.iter().all(|x| x.worker == 0));
+        // Inline units count on the calling thread, never on a worker.
+        assert_eq!(run.exec.worker_counters, obs::Counters::default());
+        assert_eq!(obs::thread_snapshot().minus(&before).morsels_executed, 3);
+    }
+
+    #[test]
+    fn morsels_concatenate_in_input_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        let serial: Vec<u64> = items.iter().flat_map(|&x| [x * 2, x * 2 + 1]).collect();
+        for mode in [ScheduleMode::Dynamic, ScheduleMode::Static] {
+            for threads in [1, 3, 8] {
+                for size in [1, 7, 128] {
+                    let run = morsels(&items, size, PoolOptions::new(threads, mode), |m, buf| {
+                        for &x in m {
+                            buf.push(x * 2);
+                            buf.push(x * 2 + 1);
+                        }
+                    });
+                    assert_eq!(
+                        run.out, serial,
+                        "mode={mode:?} threads={threads} size={size}"
+                    );
+                    assert_eq!(run.timings.len(), items.len().div_ceil(size));
+                    assert!(run.timings.windows(2).all(|w| w[0].index < w[1].index));
+                }
             }
         }
     }
 
     #[test]
-    fn faulted_tasks_retry_recovers_and_preserves_order() {
-        let items: Vec<u64> = (0..200).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x + 1).collect();
-        for threads in [1, 4] {
-            let run = quiet_panics(|| {
-                run_tasks_faulted(
-                    &items,
-                    threads,
-                    ScheduleMode::Dynamic,
-                    RetryPolicy::attempts(2),
-                    |i, attempt, &x| {
-                        // Every third item dies on its first attempt.
-                        assert!(attempt < 2);
-                        if i % 3 == 0 && attempt == 0 {
-                            std::panic::panic_any(format!("injected at {i}"));
-                        }
-                        x + 1
-                    },
-                )
-            });
-            assert!(run.all_ok(), "threads={threads}");
-            assert_eq!(run.into_results().ok(), Some(expected.clone()));
+    fn morsels_with_uneven_output_counts() {
+        // Each morsel emits a different number of results (including 0).
+        let items: Vec<u64> = (0..101).collect();
+        let opts = PoolOptions::new(4, ScheduleMode::Dynamic);
+        let run = morsels(&items, 13, opts, |m, buf| {
+            for &x in m {
+                for _ in 0..(x % 3) {
+                    buf.push(x);
+                }
+            }
+        });
+        let serial: Vec<u64> = items
+            .iter()
+            .flat_map(|&x| std::iter::repeat_n(x, (x % 3) as usize))
+            .collect();
+        assert_eq!(run.out, serial);
+    }
+
+    #[test]
+    fn morsels_empty_input() {
+        let run = dispatch::<u8, _>(0, PoolOptions::new(4, ScheduleMode::Static), |_, _, _| {});
+        assert!(run.out.is_empty() && run.timings.is_empty());
+        assert!(run.exec.workers.is_empty());
+    }
+
+    #[test]
+    fn locality_hints_pin_morsels_to_workers() {
+        let items: Vec<u64> = (0..120).collect();
+        // Hint pattern: morsel i prefers worker (i % 3) of 4.
+        let hints: Vec<usize> = (0..items.len()).map(|i| i % 3).collect();
+        let opts = PoolOptions {
+            hints: &hints,
+            ..PoolOptions::new(4, ScheduleMode::StaticLocality)
+        };
+        let run = morsels(&items, 1, opts, |m, buf| buf.extend_from_slice(m));
+        assert_eq!(run.out, items, "locality must not change output order");
+        for t in &run.timings {
+            assert_eq!(t.worker, hints[t.index] % 4, "morsel {} misplaced", t.index);
         }
     }
 
     #[test]
-    fn faulted_tasks_exhausted_attempts_reported() {
-        let items: Vec<u64> = (0..50).collect();
-        let run = quiet_panics(|| {
-            run_tasks_faulted(
-                &items,
-                4,
-                ScheduleMode::Static,
-                RetryPolicy::attempts(3),
-                |i, _, &x| {
-                    if i == 17 {
-                        std::panic::panic_any("always dies".to_string());
-                    }
-                    x
-                },
-            )
-        });
-        assert!(!run.all_ok());
-        assert_eq!(run.failures.len(), 1);
-        assert_eq!(run.failures[0].index, 17);
-        assert_eq!(run.failures[0].attempts, 3);
-        assert_eq!(run.failures[0].message, "always dies");
-        assert!(run.results[17].is_none());
-        assert!(run
-            .results
-            .iter()
-            .enumerate()
-            .all(|(i, r)| { i == 17 || r == &Some(i as u64) }));
+    fn locality_without_hints_falls_back_to_static_chunks() {
+        let items: Vec<u64> = (0..103).collect();
+        let n = items.len();
+        let opts = PoolOptions::new(4, ScheduleMode::StaticLocality);
+        let run = morsels(&items, 1, opts, |m, buf| buf.extend_from_slice(m));
+        assert_eq!(run.out, items);
+        // Fallback worker must match the static chunk that owns index i.
+        for t in &run.timings {
+            let w = t.worker;
+            assert!(
+                t.index >= (w * n) / 4 && t.index < ((w + 1) * n) / 4,
+                "index {} outside worker {w}'s static chunk",
+                t.index
+            );
+        }
     }
 
     #[test]
-    fn faulted_morsels_roll_back_partial_output() {
-        let items: Vec<u64> = (0..400).collect();
-        let morsels = chunked(&items, 16);
-        let serial: Vec<u64> = items.iter().map(|&x| x * 2).collect();
-        for threads in [1, 2, 7] {
-            let run = quiet_panics(|| {
-                run_morsels_faulted(
-                    &morsels,
-                    &[],
-                    threads,
-                    ScheduleMode::Dynamic,
-                    RetryPolicy::attempts(2),
-                    |i, attempt, m, buf| {
-                        for &x in m {
-                            buf.push(x * 2);
-                        }
-                        // Panic *after* appending output: recovery must
-                        // discard the partial segment before retrying.
-                        if i % 4 == 1 && attempt == 0 {
-                            std::panic::panic_any(format!("mid-morsel {i}"));
-                        }
-                    },
-                )
+    fn partial_hints_cover_prefix_rest_chunked() {
+        let items: Vec<u64> = (0..60).collect();
+        let hints = vec![1usize; 10]; // only the first 10 morsels hinted
+        let opts = PoolOptions {
+            hints: &hints,
+            ..PoolOptions::new(3, ScheduleMode::StaticLocality)
+        };
+        let run = morsels(&items, 2, opts, |m, buf| buf.extend_from_slice(m));
+        assert_eq!(run.out, items);
+        for t in run.timings.iter().filter(|t| t.index < 10) {
+            assert_eq!(t.worker, 1);
+        }
+    }
+
+    #[test]
+    fn locality_output_identical_across_modes() {
+        let items: Vec<u64> = (0..500).collect();
+        let hints: Vec<usize> = (0..items.len().div_ceil(7)).map(|i| (i * 13) % 5).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 3).collect();
+        for threads in [1, 2, 5, 8] {
+            let opts = PoolOptions {
+                hints: &hints,
+                ..PoolOptions::new(threads, ScheduleMode::StaticLocality)
+            };
+            let run = morsels(&items, 7, opts, |m, buf| {
+                buf.extend(m.iter().map(|&x| x * 3))
             });
-            assert!(run.all_ok(), "threads={threads}");
             assert_eq!(run.out, serial, "threads={threads}");
         }
     }
 
     #[test]
-    fn faulted_morsels_failed_morsel_leaks_nothing() {
-        let items: Vec<u64> = (0..100).collect();
-        let morsels = chunked(&items, 10);
+    fn retry_none_without_faults_matches_serial() {
+        let items: Vec<u64> = (0..300).collect();
+        let expected: Vec<u64> = items.iter().map(|&x| x * 3).collect();
+        for mode in MODES {
+            for threads in [1, 2, 7] {
+                let run = tasks(&items, PoolOptions::new(threads, mode), |&x| x * 3);
+                assert!(run.failures.is_empty());
+                assert_eq!(run.out, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn retry_recovers_and_preserves_order() {
+        let items: Vec<u64> = (0..200).collect();
+        let expected: Vec<u64> = items.iter().map(|&x| x + 1).collect();
+        for threads in [1, 4] {
+            let opts = PoolOptions {
+                retry: RetryPolicy::attempts(2),
+                ..PoolOptions::new(threads, ScheduleMode::Dynamic)
+            };
+            let run = quiet_panics(|| {
+                dispatch(items.len(), opts, |i, attempt, out| {
+                    // Every third item dies on its first attempt.
+                    assert!(attempt < 2);
+                    if i % 3 == 0 && attempt == 0 {
+                        std::panic::panic_any(format!("injected at {i}"));
+                    }
+                    out.push(items[i] + 1);
+                })
+            });
+            assert!(run.failures.is_empty(), "threads={threads}");
+            assert_eq!(run.out, expected);
+        }
+    }
+
+    #[test]
+    fn exhausted_attempts_reported() {
+        let items: Vec<u64> = (0..50).collect();
+        let opts = PoolOptions {
+            retry: RetryPolicy::attempts(3),
+            ..PoolOptions::new(4, ScheduleMode::Static)
+        };
         let run = quiet_panics(|| {
-            run_morsels_faulted(
-                &morsels,
-                &[],
-                3,
-                ScheduleMode::Static,
-                RetryPolicy::none(),
-                |i, _, m, buf| {
-                    buf.extend_from_slice(m);
+            dispatch(items.len(), opts, |i, _, out| {
+                if i == 17 {
+                    std::panic::panic_any("always dies".to_string());
+                }
+                out.push(items[i]);
+            })
+        });
+        assert_eq!(run.failures.len(), 1);
+        assert_eq!(run.failures[0].index, 17);
+        assert_eq!(run.failures[0].attempts, 3);
+        assert_eq!(run.failures[0].message, "always dies");
+        let expected: Vec<u64> = items.iter().copied().filter(|&x| x != 17).collect();
+        assert_eq!(run.out, expected);
+        assert!(run.timings.iter().all(|t| t.index != 17));
+    }
+
+    #[test]
+    fn retry_rolls_back_partial_output() {
+        let items: Vec<u64> = (0..400).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 2).collect();
+        let chunks: Vec<&[u64]> = items.chunks(16).collect();
+        for threads in [1, 2, 7] {
+            let opts = PoolOptions {
+                retry: RetryPolicy::attempts(2),
+                ..PoolOptions::new(threads, ScheduleMode::Dynamic)
+            };
+            let run = quiet_panics(|| {
+                dispatch(chunks.len(), opts, |i, attempt, buf| {
+                    for &x in chunks[i] {
+                        buf.push(x * 2);
+                    }
+                    // Panic *after* appending output: recovery must
+                    // discard the partial segment before retrying.
+                    if i % 4 == 1 && attempt == 0 {
+                        std::panic::panic_any(format!("mid-morsel {i}"));
+                    }
+                })
+            });
+            assert!(run.failures.is_empty(), "threads={threads}");
+            assert_eq!(run.out, serial, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn failed_morsel_leaks_nothing() {
+        let items: Vec<u64> = (0..100).collect();
+        let chunks: Vec<&[u64]> = items.chunks(10).collect();
+        let run = quiet_panics(|| {
+            dispatch(
+                chunks.len(),
+                PoolOptions::new(3, ScheduleMode::Static),
+                |i, _, buf| {
+                    buf.extend_from_slice(chunks[i]);
                     if i == 5 {
                         std::panic::panic_any("fragment lost".to_string());
                     }
@@ -1252,12 +753,90 @@ mod tests {
     #[test]
     fn morsels_static_assigns_contiguous_chunks() {
         let items: Vec<u64> = (0..100).collect();
-        let morsels = chunked(&items, 1);
-        let (_, timings) = run_morsels(&morsels, 4, ScheduleMode::Static, |m, buf| {
-            buf.extend_from_slice(m);
-        });
-        for t in &timings {
+        let opts = PoolOptions::new(4, ScheduleMode::Static);
+        let run = morsels(&items, 1, opts, |m, buf| buf.extend_from_slice(m));
+        for t in &run.timings {
             assert_eq!(t.worker, (t.index * 4) / 100);
         }
+    }
+
+    #[test]
+    fn fault_matrix_matches_serial_minus_failed_units() {
+        let n = 60usize;
+        // Unit i appends i*10 .. i*10 + i%4 (zero to three rows).
+        let rows = |i: usize| (0..i % 4).map(move |k| (i * 10 + k) as u64);
+        // (index, attempt) pairs that panic after appending: 5 fails
+        // once, 13 twice, 40 on every attempt.
+        let dies = |i: usize, attempt: u32| match i {
+            5 => attempt == 0,
+            13 => attempt < 2,
+            40 => true,
+            _ => false,
+        };
+        let hints: Vec<usize> = (0..n).map(|i| (i * 7) % 5).collect();
+        for mode in MODES {
+            for threads in [1, 2, 7] {
+                for retry in [RetryPolicy::none(), RetryPolicy::attempts(2)] {
+                    let opts = PoolOptions {
+                        threads,
+                        mode,
+                        hints: &hints,
+                        retry,
+                    };
+                    let run = quiet_panics(|| {
+                        dispatch(n, opts, |i, attempt, out| {
+                            out.extend(rows(i));
+                            if dies(i, attempt) {
+                                std::panic::panic_any(format!("unit {i} attempt {attempt}"));
+                            }
+                        })
+                    });
+                    let at = retry.max_attempts;
+                    let failed: Vec<usize> =
+                        (0..n).filter(|&i| (0..at).all(|a| dies(i, a))).collect();
+                    let ctx = format!("mode={mode:?} threads={threads} retry={at}");
+                    let expected: Vec<u64> = (0..n)
+                        .filter(|i| !failed.contains(i))
+                        .flat_map(rows)
+                        .collect();
+                    assert_eq!(run.out, expected, "{ctx}");
+                    let got: Vec<(usize, u32)> =
+                        run.failures.iter().map(|f| (f.index, f.attempts)).collect();
+                    let want: Vec<(usize, u32)> = failed.iter().map(|&i| (i, at)).collect();
+                    assert_eq!(got, want, "{ctx}");
+                    for f in &run.failures {
+                        assert_eq!(f.message, format!("unit {} attempt {}", f.index, at - 1));
+                    }
+                    let timed: Vec<usize> = run.timings.iter().map(|t| t.index).collect();
+                    let ok: Vec<usize> = (0..n).filter(|i| !failed.contains(i)).collect();
+                    assert_eq!(timed, ok, "{ctx}");
+                    let items: u64 = run.exec.workers.iter().map(|w| w.items).sum();
+                    assert_eq!(items, n as u64, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reraise_surfaces_the_first_failure_message() {
+        let run = quiet_panics(|| {
+            dispatch(
+                8,
+                PoolOptions::new(3, ScheduleMode::Dynamic),
+                |i, _, out| {
+                    if i == 6 || i == 2 {
+                        std::panic::panic_any(format!("bad unit {i}"));
+                    }
+                    out.push(i);
+                },
+            )
+        });
+        let caught = quiet_panics(|| catch_unwind(AssertUnwindSafe(|| run.reraise())));
+        let payload = caught.err().map(|p| panic_message(p.as_ref()));
+        assert_eq!(payload.as_deref(), Some("bad unit 2"));
+        let ok = dispatch(3, PoolOptions::new(2, ScheduleMode::Static), |i, _, out| {
+            out.push(i)
+        });
+        assert_eq!(ok.reraise().out, vec![0, 1, 2]);
     }
 }

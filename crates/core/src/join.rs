@@ -200,33 +200,6 @@ pub fn partitioned_join<E: RefinementEngine>(
         .pairs
 }
 
-/// Parses the paper's `id \t wkt` record format into point records,
-/// dropping malformed rows (the `Try(...).filter(_.isSuccess)` of
-/// Fig. 2). Compatibility shim over [`crate::RecordReader`], kept for
-/// one release — the reader reports *why* a line was dropped.
-pub fn parse_point_records(lines: &[String], geom_col: usize) -> Vec<PointRecord> {
-    crate::RecordReader::new(geom_col).read_points(lines).0
-}
-
-/// Parses one `id \t wkt` line into a point record. Compatibility shim
-/// over [`crate::RecordReader`], kept for one release.
-pub fn parse_point_record(line: &str, geom_col: usize) -> Option<PointRecord> {
-    crate::RecordReader::new(geom_col).read_point(line).ok()
-}
-
-/// Parses one `id \t wkt` line into a geometry record. Compatibility
-/// shim over [`crate::RecordReader`], kept for one release.
-pub fn parse_geom_record(line: &str, geom_col: usize) -> Option<GeomRecord> {
-    crate::RecordReader::new(geom_col).read_geom(line).ok()
-}
-
-/// Parses `id \t wkt` lines into geometry records (right side).
-/// Compatibility shim over [`crate::RecordReader`], kept for one
-/// release.
-pub fn parse_geom_records(lines: &[String], geom_col: usize) -> Vec<GeomRecord> {
-    crate::RecordReader::new(geom_col).read_geoms(lines).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,10 +331,11 @@ mod tests {
             "1\tPOLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))".to_string(), // not a point
             "2\tPOINT (3 4)".to_string(),
         ];
-        let pts = parse_point_records(&lines, 1);
+        let reader = crate::RecordReader::new(1);
+        let pts = reader.read_points(&lines).0;
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[1], (2, Point::new(3.0, 4.0)));
-        let geoms = parse_geom_records(&lines, 1);
+        let geoms = reader.read_geoms(&lines).0;
         assert_eq!(geoms.len(), 3); // polygon parses as a geometry
     }
 
@@ -369,15 +343,13 @@ mod tests {
     fn record_parsing_honours_geom_column() {
         // geom_col beyond 1: wkt sits after a payload column.
         let lines = vec!["7\tpayload\tPOINT (1 2)".to_string()];
-        assert_eq!(
-            parse_point_records(&lines, 2),
-            vec![(7, Point::new(1.0, 2.0))]
-        );
+        let points = |col| crate::RecordReader::new(col).read_points(&lines).0;
+        assert_eq!(points(2), vec![(7, Point::new(1.0, 2.0))]);
         // Out-of-range column drops the row rather than panicking.
-        assert!(parse_point_records(&lines, 9).is_empty());
+        assert!(points(9).is_empty());
         // geom_col == 0 is only satisfiable when id and wkt coincide,
         // which WKT never parses as an i64 — row dropped, not panicked.
-        assert!(parse_point_records(&lines, 0).is_empty());
+        assert!(points(0).is_empty());
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! OpenMP-style chunking in Impala (§IV–V). This module is the single
 //! executor behind SpatialSpark and [`crate::JoinRequest`]: the right
 //! side is prepared **once** into a shared [`PreparedSet`], and the
-//! left side is probed in fixed-size morsels handed to
-//! [`cluster::run_morsels`] under either [`ScheduleMode`]. (ISP-MC
-//! shares the morsel driver but, like the paper's per-instance build,
-//! builds its own tree in impalite's fragment 0.)
+//! left side is probed in fixed-size morsels, one [`cluster::dispatch`]
+//! unit each, under any [`ScheduleMode`]. The three `par_probe*`
+//! entry points (plain, observed, fault-injected) share one body; they
+//! differ only in the retry policy and in what they do with the run's
+//! failures and worker counters. (ISP-MC shares the same pool but,
+//! like the paper's per-instance build, builds its own tree in
+//! impalite's fragment 0.)
 //!
 //! # Leaf-order slots
 //!
@@ -43,8 +46,8 @@
 //! end-to-end.
 
 use cluster::{
-    run_morsels_faulted, run_morsels_hinted, run_morsels_hinted_observed, run_tasks_observed,
-    Chaos, ChaosSite, RetryPolicy, ScheduleMode, TaskFailure, TaskSpec, TaskTiming,
+    dispatch, Chaos, ChaosSite, PoolOptions, PoolRun, RetryPolicy, ScheduleMode, TaskFailure,
+    TaskSpec, TaskTiming,
 };
 use geom::engine::{RefinementEngine, SpatialPredicate};
 use geom::{Envelope, HasEnvelope, Point};
@@ -341,58 +344,43 @@ impl<E: RefinementEngine> PreparedSet<E> {
     }
 
     /// Probes `left` in parallel morsels, returning pairs in the same
-    /// order the serial loop would emit them.
+    /// order the serial loop would emit them. A panic inside a morsel
+    /// is re-raised on the calling thread.
     pub fn par_probe(&self, left: &[PointRecord], engine: &E, cfg: MorselConfig) -> Vec<JoinPair> {
-        self.par_probe_timed(left, engine, cfg).0
+        self.probe_morsels(left, engine, cfg, RetryPolicy::none(), |_, _| {})
+            .fold_counters()
+            .reraise()
+            .out
     }
 
     /// [`PreparedSet::par_probe`] plus per-morsel wall-clock timings
-    /// (indexed by morsel position), for replay through the cluster
-    /// simulator.
-    pub fn par_probe_timed(
-        &self,
-        left: &[PointRecord],
-        engine: &E,
-        cfg: MorselConfig,
-    ) -> (Vec<JoinPair>, Vec<TaskTiming>) {
-        let (pairs, timings, exec) = self.par_probe_observed(left, engine, cfg);
-        obs::add_thread(&exec.worker_counters);
-        (pairs, timings)
-    }
-
-    /// [`PreparedSet::par_probe_timed`] returning the pool's
-    /// [`obs::ExecStats`] (scoped-worker counters + per-worker
-    /// busy/wait) instead of folding the counters into the calling
-    /// thread — the collection hook [`crate::JoinRequest`] runs on.
+    /// (indexed by morsel position, for replay through the cluster
+    /// simulator) and the pool's [`obs::ExecStats`] (scoped-worker
+    /// counters + per-worker busy/wait) instead of folding the counters
+    /// into the calling thread — the collection hook
+    /// [`crate::JoinRequest`] runs on.
     pub fn par_probe_observed(
         &self,
         left: &[PointRecord],
         engine: &E,
         cfg: MorselConfig,
     ) -> (Vec<JoinPair>, Vec<TaskTiming>, obs::ExecStats) {
-        // Locality mode needs the per-morsel hints; the other modes
-        // skip the tagging pass entirely.
-        let hints = if cfg.mode == ScheduleMode::StaticLocality {
-            morsel_partitions(left, cfg.morsel_size.max(1), LOCALITY_GRID_SIDE)
-        } else {
-            Vec::new()
-        };
-        let morsels: Vec<&[PointRecord]> = left.chunks(cfg.morsel_size.max(1)).collect();
-        run_morsels_hinted_observed(&morsels, &hints, cfg.threads, cfg.mode, |morsel, out| {
-            self.probe_slice(engine, morsel, out)
-        })
+        let run = self
+            .probe_morsels(left, engine, cfg, RetryPolicy::none(), |_, _| {})
+            .reraise();
+        (run.out, run.timings, run.exec)
     }
 
-    /// [`PreparedSet::par_probe_timed`] under fault injection: each
-    /// morsel's panic draw is consulted *after* its output is appended
-    /// (so recovery exercises the partial-segment rollback), and
-    /// panicking morsels are retried in place under `policy` — the
-    /// worker-local bounded re-dispatch recovery mode.
+    /// [`PreparedSet::par_probe`] under fault injection: each morsel's
+    /// panic draw is consulted *after* its output is appended (so
+    /// recovery exercises the partial-segment rollback), and panicking
+    /// morsels are retried in place under `policy` — the worker-local
+    /// bounded re-dispatch recovery mode.
     ///
     /// Returns the pairs and timings on full recovery — bit-identical
-    /// to [`PreparedSet::par_probe_timed`] at any thread count — or the
+    /// to [`PreparedSet::par_probe`] at any thread count — or the
     /// failures of morsels that exhausted their attempts. A disabled
-    /// injector takes the plain path exactly.
+    /// injector draws nothing, so it never fails a morsel.
     pub fn par_probe_faulted(
         &self,
         left: &[PointRecord],
@@ -401,27 +389,11 @@ impl<E: RefinementEngine> PreparedSet<E> {
         chaos: &Chaos,
         policy: RetryPolicy,
     ) -> Result<(Vec<JoinPair>, Vec<TaskTiming>), Vec<TaskFailure>> {
-        if chaos.is_disabled() {
-            return Ok(self.par_probe_timed(left, engine, cfg));
-        }
-        let hints = if cfg.mode == ScheduleMode::StaticLocality {
-            morsel_partitions(left, cfg.morsel_size.max(1), LOCALITY_GRID_SIDE)
-        } else {
-            Vec::new()
-        };
-        let morsels: Vec<&[PointRecord]> = left.chunks(cfg.morsel_size.max(1)).collect();
-        let run = run_morsels_faulted(
-            &morsels,
-            &hints,
-            cfg.threads,
-            cfg.mode,
-            policy,
-            |i, attempt, morsel, out| {
-                self.probe_slice(engine, morsel, out);
-                chaos.inject(ChaosSite::Morsel, i as u64, attempt);
-            },
-        );
-        obs::add_thread(&run.exec.worker_counters);
+        let run = self
+            .probe_morsels(left, engine, cfg, policy, |i, attempt| {
+                chaos.inject(ChaosSite::Morsel, i as u64, attempt)
+            })
+            .fold_counters();
         if run.failures.is_empty() {
             Ok((run.out, run.timings))
         } else {
@@ -429,28 +401,36 @@ impl<E: RefinementEngine> PreparedSet<E> {
         }
     }
 
-    /// [`PreparedSet::par_probe_timed`] plus each morsel's dominant
-    /// partition tag — everything the scheduling-ablation replay needs:
-    /// feed `(timings, partitions)` to [`timings_to_taskspecs`] and the
-    /// result to `cluster::simulate` under any [`cluster::Scheduler`].
-    pub fn par_probe_tagged(
+    /// The body behind every `par_probe*`: chunks `left` into morsels,
+    /// tags them with locality hints in [`ScheduleMode::StaticLocality`]
+    /// (the other modes skip the tagging pass), and dispatches one pool
+    /// unit per morsel; `after(morsel, attempt)` runs once the morsel's
+    /// pairs are appended.
+    fn probe_morsels(
         &self,
         left: &[PointRecord],
         engine: &E,
         cfg: MorselConfig,
-    ) -> (Vec<JoinPair>, Vec<TaskTiming>, Vec<usize>) {
-        let partitions = morsel_partitions(left, cfg.morsel_size.max(1), LOCALITY_GRID_SIDE);
-        let morsels: Vec<&[PointRecord]> = left.chunks(cfg.morsel_size.max(1)).collect();
+        retry: RetryPolicy,
+        after: impl Fn(usize, u32) + Sync,
+    ) -> PoolRun<JoinPair> {
+        let size = cfg.morsel_size.max(1);
         let hints = if cfg.mode == ScheduleMode::StaticLocality {
-            partitions.as_slice()
+            morsel_partitions(left, size, LOCALITY_GRID_SIDE)
         } else {
-            &[]
+            Vec::new()
         };
-        let (pairs, timings) =
-            run_morsels_hinted(&morsels, hints, cfg.threads, cfg.mode, |morsel, out| {
-                self.probe_slice(engine, morsel, out)
-            });
-        (pairs, timings, partitions)
+        let morsels: Vec<&[PointRecord]> = left.chunks(size).collect();
+        let opts = PoolOptions {
+            threads: cfg.threads,
+            mode: cfg.mode,
+            hints: &hints,
+            retry,
+        };
+        dispatch(morsels.len(), opts, |i, attempt, out| {
+            self.probe_slice(engine, morsels[i], out);
+            after(i, attempt);
+        })
     }
 }
 
@@ -515,18 +495,22 @@ pub fn parallel_partitioned_join_observed<E: RefinementEngine>(
         .iter()
         .filter(|t| !t.left.is_empty() && !t.right_ids.is_empty())
         .collect();
-    let (per_task, _, exec) = run_tasks_observed(tasks, cfg.threads, cfg.mode, |task| {
-        let subset = set.subset_tree(&task.right_ids);
-        let mut out = Vec::new();
-        for &(id, p) in &task.left {
-            set.probe_subset(&subset, engine, id, p, &mut out);
-        }
-        out
-    });
-    let mut out: Vec<JoinPair> = per_task.into_iter().flatten().collect();
+    let run = dispatch(
+        tasks.len(),
+        PoolOptions::new(cfg.threads, cfg.mode),
+        |i, _, out| {
+            let task = tasks[i];
+            let subset = set.subset_tree(&task.right_ids);
+            for &(id, p) in &task.left {
+                set.probe_subset(&subset, engine, id, p, out);
+            }
+        },
+    )
+    .reraise();
+    let mut out = run.out;
     out.sort_unstable();
     out.dedup();
-    (out, exec)
+    (out, run.exec)
 }
 
 #[cfg(test)]
@@ -745,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn tagged_probe_matches_untimed_probe() {
+    fn observed_probe_matches_plain_probe() {
         let left = grid_points(12);
         let right = quadrant_polys(6.0);
         let engine = PreparedEngine;
@@ -761,9 +745,12 @@ mod tests {
                 morsel_size: 10,
             };
             let plain = set.par_probe(&left, &engine, cfg);
-            let (tagged, timings, partitions) = set.par_probe_tagged(&left, &engine, cfg);
-            assert_eq!(plain, tagged, "{mode:?}");
+            let (observed, timings, exec) = set.par_probe_observed(&left, &engine, cfg);
+            let partitions = morsel_partitions(&left, cfg.morsel_size, LOCALITY_GRID_SIDE);
+            assert_eq!(plain, observed, "{mode:?}");
             assert_eq!(timings.len(), partitions.len(), "{mode:?}");
+            let items: u64 = exec.workers.iter().map(|w| w.items).sum();
+            assert_eq!(items as usize, timings.len(), "{mode:?}");
         }
     }
 
@@ -818,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_probe_disabled_takes_plain_path() {
+    fn faulted_probe_disabled_matches_plain() {
         let left = grid_points(10);
         let right = quadrant_polys(5.0);
         let engine = PreparedEngine;
@@ -830,6 +817,63 @@ mod tests {
             .expect("no faults possible");
         assert_eq!(pairs, set.par_probe(&left, &engine, cfg));
         assert_eq!(chaos.fault_count(), 0);
+    }
+
+    /// [`PreparedEngine`] with a bug: `within` panics on one point.
+    struct BuggyEngine;
+
+    const BUGGY_POINT: Point = Point { x: 13.5, y: 13.5 };
+
+    impl RefinementEngine for BuggyEngine {
+        type Prepared = <PreparedEngine as RefinementEngine>::Prepared;
+        fn name(&self) -> &'static str {
+            "buggy"
+        }
+        fn prepare(&self, geom: &Geometry) -> Self::Prepared {
+            PreparedEngine.prepare(geom)
+        }
+        fn within(&self, p: Point, target: &Self::Prepared) -> bool {
+            if p == BUGGY_POINT {
+                std::panic::panic_any(format!("refine bug at {p:?}"));
+            }
+            PreparedEngine.within(p, target)
+        }
+        fn within_distance(&self, p: Point, target: &Self::Prepared, d: f64) -> bool {
+            PreparedEngine.within_distance(p, target, d)
+        }
+        fn distance(&self, p: Point, target: &Self::Prepared) -> f64 {
+            PreparedEngine.distance(p, target)
+        }
+    }
+
+    #[test]
+    fn closure_panic_surfaces_on_the_driver_with_its_message() {
+        let left = grid_points(20);
+        let set = PreparedSet::prepare(
+            &quadrant_polys(10.0),
+            SpatialPredicate::Within,
+            &BuggyEngine,
+        );
+        for threads in [1, 2, 7] {
+            for mode in [ScheduleMode::Dynamic, ScheduleMode::StaticLocality] {
+                let cfg = MorselConfig {
+                    threads,
+                    mode,
+                    morsel_size: 16,
+                };
+                let caught = quiet_panics(|| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        set.par_probe(&left, &BuggyEngine, cfg)
+                    }))
+                });
+                let message = caught.err().and_then(|p| p.downcast::<String>().ok());
+                assert_eq!(
+                    message.as_deref().map(String::as_str),
+                    Some(format!("refine bug at {BUGGY_POINT:?}").as_str()),
+                    "threads={threads} mode={mode:?}"
+                );
+            }
+        }
     }
 
     #[test]

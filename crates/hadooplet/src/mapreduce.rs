@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use cluster::{simulate, ClusterSpec, NetworkModel, ScheduleMode, Scheduler, TaskSpec};
+use cluster::{
+    simulate, ClusterSpec, NetworkModel, PoolOptions, ScheduleMode, Scheduler, TaskSpec,
+};
 use minihdfs::{DfsError, MiniDfs};
 
 /// Disk throughput model for intermediate materialisation — the cost
@@ -176,15 +178,17 @@ impl MapReduce {
             blocks.extend(self.dfs.blocks(path)?);
         }
         let localities: Vec<Option<usize>> = blocks.iter().map(|b| Some(b.primary_node)).collect();
-        let (map_outputs, map_timings) =
-            cluster::run_tasks(blocks, self.conf.threads, ScheduleMode::Dynamic, |block| {
-                let mut emitted = Vec::new();
-                for line in block.lines() {
-                    map(line, &mut emitted);
-                }
-                emitted
-            });
-        let map_tasks: Vec<TaskSpec> = map_timings
+        let opts = PoolOptions::new(self.conf.threads, ScheduleMode::Dynamic);
+        // One unit per block; its segment is the block's emitted pairs.
+        let mapped = cluster::dispatch(blocks.len(), opts, |i, _, emitted| {
+            for line in blocks[i].lines() {
+                map(line, emitted);
+            }
+        })
+        .fold_counters()
+        .reraise();
+        let map_tasks: Vec<TaskSpec> = mapped
+            .timings
             .iter()
             .map(|t| TaskSpec {
                 cost: t.secs,
@@ -195,29 +199,27 @@ impl MapReduce {
         // --- shuffle: group by key (the sort phase), count bytes ---
         let mut intermediate_bytes = 0u64;
         let mut grouped: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        for out in map_outputs {
-            for (k, v) in out {
-                intermediate_bytes += value_bytes(&k, &v) + 8;
-                grouped.entry(k).or_default().push(v);
-            }
+        for (k, v) in mapped.out {
+            intermediate_bytes += value_bytes(&k, &v) + 8;
+            grouped.entry(k).or_default().push(v);
         }
 
         // --- reduce phase: one task per key group ---
         let groups: Vec<(K, Vec<V>)> = grouped.into_iter().collect();
-        let (reduce_outputs, reduce_timings) = cluster::run_tasks(
-            groups,
-            self.conf.threads,
-            ScheduleMode::Dynamic,
-            |(k, vs)| reduce(k, vs),
-        );
-        let reduce_tasks: Vec<TaskSpec> = reduce_timings
+        let reduced = cluster::dispatch(groups.len(), opts, |i, _, out| {
+            let (k, vs) = &groups[i];
+            out.extend(reduce(k, vs));
+        })
+        .fold_counters()
+        .reraise();
+        let reduce_tasks: Vec<TaskSpec> = reduced
+            .timings
             .iter()
             .map(|t| TaskSpec::of_cost(t.secs))
             .collect();
 
-        let output = reduce_outputs.into_iter().flatten().collect();
         Ok(JobResult {
-            output,
+            output: reduced.out,
             metrics: JobMetrics {
                 map_tasks,
                 reduce_tasks,
@@ -246,13 +248,15 @@ impl MapReduce {
             files.push((path.to_string(), lines, locality));
         }
         let localities: Vec<Option<usize>> = files.iter().map(|(_, _, l)| *l).collect();
-        let (outputs, timings) = cluster::run_tasks(
-            files,
-            self.conf.threads,
-            ScheduleMode::Dynamic,
-            |(path, lines, _)| f(path, lines),
-        );
-        let map_tasks: Vec<TaskSpec> = timings
+        let opts = PoolOptions::new(self.conf.threads, ScheduleMode::Dynamic);
+        let run = cluster::dispatch(files.len(), opts, |i, _, out| {
+            let (path, lines, _) = &files[i];
+            out.extend(f(path, lines));
+        })
+        .fold_counters()
+        .reraise();
+        let map_tasks: Vec<TaskSpec> = run
+            .timings
             .iter()
             .map(|t| TaskSpec {
                 cost: t.secs,
@@ -260,7 +264,7 @@ impl MapReduce {
             })
             .collect();
         Ok(JobResult {
-            output: outputs.into_iter().flatten().collect(),
+            output: run.out,
             metrics: JobMetrics {
                 map_tasks,
                 reduce_tasks: Vec::new(),
@@ -316,6 +320,32 @@ mod tests {
                 |_, _| Vec::<u8>::new(),
             )
             .is_err());
+    }
+
+    #[test]
+    fn map_panic_surfaces_on_the_driver_with_its_message() {
+        let mr = engine_with_text(&["ok", "boom", "ok"]);
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mr.run_job(
+                &["/in"],
+                |line, out: &mut Vec<(u8, u8)>| {
+                    if line == "boom" {
+                        std::panic::panic_any(format!("map bug on {line}"));
+                    }
+                    out.push((0, 1));
+                },
+                |_, _| 1,
+                |_, vs| vec![vs.len()],
+            )
+        }));
+        std::panic::set_hook(hook);
+        let message = caught.err().and_then(|p| p.downcast::<String>().ok());
+        assert_eq!(
+            message.as_deref().map(String::as_str),
+            Some("map bug on boom")
+        );
     }
 
     #[test]

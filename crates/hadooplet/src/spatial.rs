@@ -20,8 +20,8 @@ use geom::engine::{FlatEngine, NaiveEngine, SpatialPredicate};
 use geom::{HasEnvelope, Point};
 use minihdfs::DfsError;
 use rtree::{SpatialPartitioner, StrPartitioner};
-use spatialjoin::join::{self, parse_geom_records, parse_point_record};
-use spatialjoin::JoinPair;
+use spatialjoin::join;
+use spatialjoin::{JoinPair, RecordReader};
 
 use crate::mapreduce::{HadoopConf, JobMetrics, MapReduce};
 
@@ -74,17 +74,18 @@ fn build_partitioner(
     let mut extent = geom::Envelope::EMPTY;
     let stride = (left_lines.len() / 10_000).max(1);
     let mut sample: Vec<Point> = Vec::new();
+    let reader = RecordReader::new(1);
     for line in left_lines.iter().step_by(stride) {
-        if let Some((_, p)) = parse_point_record(line, 1) {
+        if let Ok((_, p)) = reader.read_point(line) {
             sample.push(p);
         }
     }
     for line in &left_lines {
-        if let Some((_, p)) = parse_point_record(line, 1) {
+        if let Ok((_, p)) = reader.read_point(line) {
             extent.expand_to(p.x, p.y);
         }
     }
-    for (_, g) in parse_geom_records(&right_lines, 1) {
+    for (_, g) in reader.read_geoms(&right_lines).0 {
         extent = extent.union(&g.envelope().expanded_by(radius));
     }
     Ok(StrPartitioner::build(extent, &sample, target_cells.max(1)))
@@ -137,14 +138,14 @@ pub fn hadoopgis_join(
             let mut right_lines = Vec::new();
             for r in records {
                 if let Some(rest) = r.strip_prefix("L\t") {
-                    if let Some(rec) = parse_point_record(rest, 1) {
+                    if let Ok(rec) = RecordReader::new(1).read_point(rest) {
                         left.push(rec);
                     }
                 } else if let Some(rest) = r.strip_prefix("R\t") {
                     right_lines.push(rest.to_string());
                 }
             }
-            let right = parse_geom_records(&right_lines, 1);
+            let right = RecordReader::new(1).read_geoms(&right_lines).0;
             if left.is_empty() || right.is_empty() {
                 return Vec::new();
             }
@@ -221,14 +222,14 @@ pub fn spatialhadoop_join(
         let mut right_lines = Vec::new();
         for l in lines {
             if let Some(rest) = l.strip_prefix("L\t") {
-                if let Some(rec) = parse_point_record(rest, 1) {
+                if let Ok(rec) = RecordReader::new(1).read_point(rest) {
                     left.push(rec);
                 }
             } else if let Some(rest) = l.strip_prefix("R\t") {
                 right_lines.push(rest.to_string());
             }
         }
-        let right = parse_geom_records(&right_lines, 1);
+        let right = RecordReader::new(1).read_geoms(&right_lines).0;
         if left.is_empty() || right.is_empty() {
             return Vec::new();
         }
@@ -263,8 +264,13 @@ mod tests {
     }
 
     fn reference(mr: &MapReduce, left: &str, right: &str, pred: SpatialPredicate) -> Vec<JoinPair> {
-        let l = spatialjoin::join::parse_point_records(&mr.dfs().read_all_lines(left).unwrap(), 1);
-        let r = parse_geom_records(&mr.dfs().read_all_lines(right).unwrap(), 1);
+        let reader = RecordReader::new(1);
+        let l = reader
+            .read_points(&mr.dfs().read_all_lines(left).unwrap())
+            .0;
+        let r = reader
+            .read_geoms(&mr.dfs().read_all_lines(right).unwrap())
+            .0;
         spatialjoin::normalize_pairs(join::broadcast_index_join(&l, &r, pred, &PreparedEngine))
     }
 

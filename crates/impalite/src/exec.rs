@@ -1,7 +1,7 @@
 //! The backend: fragment execution, row batches, static scheduling.
 
 use cluster::{
-    simulate, Chaos, ChaosConfig, ChaosSite, ClusterSpec, NetworkModel, RetryPolicy, ScheduleMode,
+    simulate, Chaos, ChaosConfig, ChaosSite, ClusterSpec, NetworkModel, PoolOptions, ScheduleMode,
     Scheduler, TaskFailure, TaskSpec,
 };
 use geom::engine::{NaiveEngine, RefinementEngine};
@@ -401,38 +401,23 @@ impl Impalad {
         let blocks = self.read_retrying(1, || self.dfs.blocks(&plan.left_path))?;
         let localities: Vec<Option<usize>> = blocks.iter().map(|b| Some(b.primary_node)).collect();
         let geom_col = plan.left_geom_col;
-        let scan_block = |block: &minihdfs::BlockRef| -> Vec<Row> {
-            block
-                .lines()
-                .filter_map(|l| Row::from_line(l, geom_col))
-                .collect()
-        };
-        let (block_rows, scan_timings) = if self.chaos.is_disabled() {
-            cluster::run_tasks(blocks, self.conf.threads, ScheduleMode::Static, |block| {
-                scan_block(block)
-            })
-        } else {
-            // Fail-fast: any scan task dying aborts the query; Impala
-            // fixes the plan before execution and cannot reschedule.
-            let run = cluster::run_tasks_faulted(
-                &blocks,
-                self.conf.threads,
-                ScheduleMode::Static,
-                RetryPolicy::none(),
-                |i, attempt, block| {
-                    let rows = scan_block(block);
-                    self.chaos.inject(ChaosSite::Fragment, i as u64, attempt);
-                    rows
-                },
+        let static_opts = PoolOptions::new(self.conf.threads, ScheduleMode::Static);
+        // Fail-fast: any scan task dying aborts the query; Impala fixes
+        // the plan before execution and cannot reschedule.
+        let scan = cluster::dispatch(blocks.len(), static_opts, |i, attempt, out| {
+            let lines = blocks[i].lines();
+            out.push(
+                lines
+                    .filter_map(|l| Row::from_line(l, geom_col))
+                    .collect::<Vec<_>>(),
             );
-            obs::add_thread(&run.exec.worker_counters);
-            if !run.failures.is_empty() {
-                return Err(fragment_failed("scan", &run.failures));
-            }
-            let timings = run.timings;
-            let rows: Vec<Vec<Row>> = run.results.into_iter().flatten().collect();
-            (rows, timings)
-        };
+            self.chaos.inject(ChaosSite::Fragment, i as u64, attempt);
+        })
+        .fold_counters();
+        if !scan.failures.is_empty() {
+            return Err(fragment_failed("scan", &scan.failures));
+        }
+        let (block_rows, scan_timings) = (scan.out, scan.timings);
         let scan_tasks: Vec<TaskSpec> = scan_timings
             .iter()
             .map(|t| TaskSpec {
@@ -474,6 +459,8 @@ impl Impalad {
         let chunk_slices: Vec<&[Row]> = chunks.iter().map(|(rows, _)| rows.as_slice()).collect();
         let probe_chunk = |rows: &[Row], out: &mut Vec<(i64, i64)>| {
             for row in rows {
+                #[cfg(test)]
+                tests::probe_bug(row.id);
                 let Ok(g) = geom::wkt::parse(&row.wkt) else {
                     continue;
                 };
@@ -491,36 +478,20 @@ impl Impalad {
                 );
             }
         };
-        let (pairs_flat, probe_timings) = if self.chaos.is_disabled() {
-            cluster::run_morsels(
-                &chunk_slices,
-                self.conf.threads,
-                ScheduleMode::Static,
-                probe_chunk,
-            )
-        } else {
-            // Offset the index space so probe chunks draw faults
-            // independently of scan tasks under the same seed.
-            let run = cluster::run_morsels_faulted(
-                &chunk_slices,
-                &[],
-                self.conf.threads,
-                ScheduleMode::Static,
-                RetryPolicy::none(),
-                |i, attempt, rows, out| {
-                    probe_chunk(rows, out);
-                    self.chaos
-                        .inject(ChaosSite::Fragment, (1u64 << 32) | i as u64, attempt);
-                },
-            );
-            obs::add_thread(&run.exec.worker_counters);
-            if !run.failures.is_empty() {
-                // The rolled-back output in `run.out` is dropped here —
-                // a failed query never surfaces partial pairs.
-                return Err(fragment_failed("probe", &run.failures));
-            }
-            (run.out, run.timings)
-        };
+        // Offset the index space so probe chunks draw faults
+        // independently of scan tasks under the same seed.
+        let probe = cluster::dispatch(chunk_slices.len(), static_opts, |i, attempt, out| {
+            probe_chunk(chunk_slices[i], out);
+            self.chaos
+                .inject(ChaosSite::Fragment, (1u64 << 32) | i as u64, attempt);
+        })
+        .fold_counters();
+        if !probe.failures.is_empty() {
+            // The rolled-back output in `probe.out` is dropped here — a
+            // failed query never surfaces partial pairs.
+            return Err(fragment_failed("probe", &probe.failures));
+        }
+        let (pairs_flat, probe_timings) = (probe.out, probe.timings);
         let mut probe_batches: Vec<ProbeBatch> = batch_localities
             .iter()
             .map(|&locality| ProbeBatch {
@@ -783,6 +754,41 @@ mod tests {
         let r = f();
         std::panic::set_hook(hook);
         r
+    }
+
+    /// Left-row id that trips [`probe_bug`].
+    const BUGGY_ROW: i64 = -4242;
+
+    /// Stands in for a bug in the probe fragment's own code: panics on
+    /// the row with id [`BUGGY_ROW`], with chaos nowhere involved.
+    pub(super) fn probe_bug(id: i64) {
+        if id == BUGGY_ROW {
+            std::panic::panic_any(format!("probe bug at row {id}"));
+        }
+    }
+
+    #[test]
+    fn fragment_bug_without_chaos_fails_the_query() {
+        let (dfs, catalog) = fixture();
+        let mut pts = dfs.read_all_lines("/pnt").unwrap();
+        pts.push(format!("{BUGGY_ROW}\tPOINT (1.5 1.5)"));
+        dfs.delete("/pnt").unwrap();
+        dfs.write_lines("/pnt", &pts).unwrap();
+        for threads in [1, 2, 7] {
+            let conf = ImpaladConf {
+                threads,
+                ..ImpaladConf::default()
+            };
+            let d = Impalad::new(conf, dfs.clone(), catalog.clone());
+            assert!(d.chaos().is_disabled());
+            match quiet_panics(|| d.execute(JOIN_SQL)) {
+                Err(ImpalaError::FragmentFailed { fragment, message }) => {
+                    assert_eq!(fragment, "probe");
+                    assert_eq!(message, format!("probe bug at row {BUGGY_ROW}"));
+                }
+                other => panic!("expected FragmentFailed, got {other:?}"),
+            }
+        }
     }
 
     fn daemon_with_chaos(chaos: ChaosConfig) -> Impalad {

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use cluster::{
-    Chaos, ChaosConfig, ChaosSite, ClusterSpec, NetworkModel, RetryPolicy, ScheduleMode, Scheduler,
+    Chaos, ChaosConfig, ChaosSite, ClusterSpec, NetworkModel, PoolOptions, ScheduleMode, Scheduler,
     TaskSpec,
 };
 use minihdfs::{DfsError, MiniDfs};
@@ -198,12 +198,13 @@ impl SparkContext {
         self.execute_stage(name, items, localities.to_vec(), f)
     }
 
-    /// The stage executor behind every transformation. Without chaos it
-    /// is exactly the historical path (plain `run_tasks`, bit-identical
-    /// output). With chaos enabled, tasks run under panic capture and
-    /// any partition lost to an injected executor death is recomputed
-    /// from lineage in a follow-up round on the surviving workers —
-    /// live, mid-job, without restarting the stage's completed tasks.
+    /// The stage executor behind every transformation. Tasks run under
+    /// panic capture, and any partition lost — to an injected executor
+    /// death or to a panic in `f` — is recomputed from lineage in a
+    /// follow-up round on the surviving workers: live, mid-job, without
+    /// restarting the stage's completed tasks. A partition still lost
+    /// after `max_recompute_rounds` fails the job with a panic. Disabled
+    /// chaos injects nothing, so a clean stage is a single round.
     pub(crate) fn execute_stage<T, R, F>(
         &self,
         name: &str,
@@ -216,26 +217,7 @@ impl SparkContext {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let threads = self.inner.conf.threads;
-        if self.inner.chaos.is_disabled() {
-            let (results, timings) = cluster::run_tasks(items, threads, ScheduleMode::Dynamic, f);
-            let tasks: Vec<TaskSpec> = timings
-                .iter()
-                .map(|t| TaskSpec {
-                    cost: t.secs,
-                    locality: localities.get(t.index).copied().flatten(),
-                })
-                .collect();
-            self.record_stage(StageMetrics {
-                name: name.into(),
-                tasks,
-                broadcast_bytes: 0,
-                shuffle_bytes: 0,
-            });
-            return results;
-        }
-
-        let threads = threads.max(1);
+        let threads = self.inner.conf.threads.max(1);
         let chaos = &self.inner.chaos;
         let n = items.len();
         // Stage ordinal keys the fault draws: unique per stage within a
@@ -253,23 +235,18 @@ impl SparkContext {
             } else {
                 threads.saturating_sub(1).max(1)
             };
-            let run = cluster::run_tasks_faulted(
-                &pending,
-                alive,
-                ScheduleMode::Dynamic,
-                RetryPolicy::none(),
-                |_, _, &i| {
-                    let r = f(&items[i]);
-                    // Inject *after* the work: a lost executor has done
-                    // (and lost) its computation, so recovery pays the
-                    // full recompute cost.
-                    chaos.inject(ChaosSite::Task, stage_key | i as u64, round);
-                    r
-                },
-            );
-            // Fold scoped-worker counters (fault injections, hot-path
-            // counts) into the caller's cells, like the plain path does.
-            obs::add_thread(&run.exec.worker_counters);
+            let opts = PoolOptions::new(alive, ScheduleMode::Dynamic);
+            // Scoped-worker counters (fault injections, hot-path counts)
+            // fold into the caller's cells.
+            let run = cluster::dispatch(pending.len(), opts, |pos, _, out| {
+                let i = pending[pos];
+                out.push(f(&items[i]));
+                // Inject *after* the work: a lost executor has done
+                // (and lost) its computation, so recovery pays the
+                // full recompute cost.
+                chaos.inject(ChaosSite::Task, stage_key | i as u64, round);
+            })
+            .fold_counters();
             let tasks: Vec<TaskSpec> = run
                 .timings
                 .iter()
@@ -289,26 +266,22 @@ impl SparkContext {
                 broadcast_bytes: 0,
                 shuffle_bytes: 0,
             });
-            let failed: Vec<usize> = run.failures.iter().map(|fl| pending[fl.index]).collect();
-            let first_message = run
-                .failures
-                .first()
-                .map(|fl| fl.message.as_str().to_string());
-            for (pos, r) in run.results.into_iter().enumerate() {
-                if r.is_some() {
-                    slots[pending[pos]] = r;
-                }
+            // Each task pushed exactly one result, so the successful
+            // tasks' timings and outputs line up one to one.
+            for (t, r) in run.timings.iter().zip(run.out) {
+                slots[pending[t.index]] = Some(r);
             }
-            if failed.is_empty() {
+            if run.failures.is_empty() {
                 break;
             }
+            let failed: Vec<usize> = run.failures.iter().map(|fl| pending[fl.index]).collect();
             round += 1;
             if round > self.inner.conf.max_recompute_rounds {
-                let message = first_message.unwrap_or_default();
                 std::panic::panic_any(format!(
                     "stage '{name}': {} partition(s) unrecoverable after {round} rounds \
-                     (last failure: {message})",
-                    failed.len()
+                     (last failure: {})",
+                    failed.len(),
+                    run.failures[0].message
                 ));
             }
             obs::partitions_recomputed(failed.len() as u64);

@@ -4,8 +4,8 @@
 
 use geom::engine::{FlatEngine, NaiveEngine, PreparedEngine, SpatialPredicate};
 use minihdfs::MiniDfs;
-use spatialjoin::join::{broadcast_index_join, parse_geom_records, parse_point_records};
-use spatialjoin::{normalize_pairs, IspMc, SpatialSpark};
+use spatialjoin::join::broadcast_index_join;
+use spatialjoin::{normalize_pairs, IspMc, RecordReader, SpatialSpark};
 
 struct Fixture {
     dfs: MiniDfs,
@@ -34,8 +34,9 @@ fn serial_reference(
     right: &str,
     predicate: SpatialPredicate,
 ) -> Vec<(i64, i64)> {
-    let left_recs = parse_point_records(&dfs.read_all_lines(left).unwrap(), 1);
-    let right_recs = parse_geom_records(&dfs.read_all_lines(right).unwrap(), 1);
+    let reader = RecordReader::new(1);
+    let left_recs = reader.read_points(&dfs.read_all_lines(left).unwrap()).0;
+    let right_recs = reader.read_geoms(&dfs.read_all_lines(right).unwrap()).0;
     normalize_pairs(broadcast_index_join(
         &left_recs,
         &right_recs,
@@ -133,8 +134,11 @@ fn gbif_wwf_within_agrees() {
 #[test]
 fn all_three_engines_agree_on_real_shaped_data() {
     let fx = fixture();
-    let left = parse_point_records(&fx.dfs.read_all_lines("/gbif").unwrap(), 1);
-    let right = parse_geom_records(&fx.dfs.read_all_lines("/wwf").unwrap(), 1);
+    let reader = RecordReader::new(1);
+    let left = reader
+        .read_points(&fx.dfs.read_all_lines("/gbif").unwrap())
+        .0;
+    let right = reader.read_geoms(&fx.dfs.read_all_lines("/wwf").unwrap()).0;
     let a = normalize_pairs(broadcast_index_join(
         &left,
         &right,

@@ -3,8 +3,8 @@
 
 use geom::engine::{FlatEngine, NaiveEngine, PreparedEngine, SpatialPredicate};
 use minihdfs::MiniDfs;
-use spatialjoin::join::{nearest_join, parse_geom_records, parse_point_records};
-use spatialjoin::IspMc;
+use spatialjoin::join::nearest_join;
+use spatialjoin::{IspMc, RecordReader};
 
 type Records = (Vec<(i64, geom::Point)>, Vec<(i64, geom::Geometry)>);
 
@@ -85,8 +85,9 @@ fn st_nearest_runs_through_sql() {
         )
         .unwrap();
     // Compare against the serial reference.
-    let left = parse_point_records(&dfs.read_all_lines("/pnt").unwrap(), 1);
-    let right = parse_geom_records(&dfs.read_all_lines("/lion").unwrap(), 1);
+    let reader = RecordReader::new(1);
+    let left = reader.read_points(&dfs.read_all_lines("/pnt").unwrap()).0;
+    let right = reader.read_geoms(&dfs.read_all_lines("/lion").unwrap()).0;
     let reference =
         spatialjoin::normalize_pairs(nearest_join(&left, &right, 500.0, &PreparedEngine));
     assert_eq!(
