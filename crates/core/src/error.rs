@@ -11,6 +11,9 @@ pub enum SpatialJoinError {
     Impala(String),
     /// Geometry failure that was not recoverable by dropping a record.
     Geom(String),
+    /// A join request that no data can satisfy, such as a negative or
+    /// NaN `NearestD` distance.
+    InvalidPredicate(String),
 }
 
 impl fmt::Display for SpatialJoinError {
@@ -19,6 +22,7 @@ impl fmt::Display for SpatialJoinError {
             SpatialJoinError::Dfs(m) => write!(f, "storage error: {m}"),
             SpatialJoinError::Impala(m) => write!(f, "query engine error: {m}"),
             SpatialJoinError::Geom(m) => write!(f, "geometry error: {m}"),
+            SpatialJoinError::InvalidPredicate(m) => write!(f, "invalid predicate: {m}"),
         }
     }
 }

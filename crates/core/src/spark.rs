@@ -88,13 +88,16 @@ impl SpatialSpark {
     /// this job, mirroring a fresh `spark-submit` per experiment.
     ///
     /// # Errors
-    /// Fails when either path is missing.
+    /// Fails when either path is missing, or with
+    /// [`SpatialJoinError::InvalidPredicate`] for a negative or NaN
+    /// distance.
     pub fn broadcast_spatial_join(
         &self,
         left_path: &str,
         right_path: &str,
         predicate: SpatialPredicate,
     ) -> Result<SpatialSparkRun, SpatialJoinError> {
+        check_distance(predicate)?;
         self.sc.reset_metrics();
         let engine = FlatEngine;
         let reader = RecordReader::new(1);
@@ -155,7 +158,9 @@ impl SpatialSpark {
     ///    lives in exactly one cell, so no pair is emitted twice.
     ///
     /// # Errors
-    /// Fails when either path is missing.
+    /// Fails when either path is missing, or with
+    /// [`SpatialJoinError::InvalidPredicate`] for a negative or NaN
+    /// distance.
     pub fn partitioned_spatial_join(
         &self,
         left_path: &str,
@@ -166,6 +171,7 @@ impl SpatialSpark {
         use geom::HasEnvelope;
         use rtree::{SpatialPartitioner, StrPartitioner};
 
+        check_distance(predicate)?;
         self.sc.reset_metrics();
         let engine = FlatEngine;
         let reader = RecordReader::new(1);
@@ -257,6 +263,19 @@ impl SpatialSpark {
             network: self.sc.conf().network,
         })
     }
+}
+
+/// Rejects a `NearestD`/`Nearest` distance that is negative or NaN, as
+/// ISP-MC's SQL parser does: expanding the right side's envelopes by
+/// it would invert them, and the join would silently return nothing.
+fn check_distance(predicate: SpatialPredicate) -> Result<(), SpatialJoinError> {
+    let d = predicate.filter_radius();
+    if d.is_nan() || d < 0.0 {
+        return Err(SpatialJoinError::InvalidPredicate(format!(
+            "{predicate:?}: distance must be non-negative"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -387,6 +406,46 @@ mod tests {
         // Together the two joins leave both movement counters non-zero.
         let both = obs::thread_snapshot().minus(&start);
         assert!(both.bytes_broadcast > 0 && both.bytes_shuffled > 0);
+    }
+
+    const BAD_DISTANCES: [SpatialPredicate; 4] = [
+        SpatialPredicate::NearestD(-0.5),
+        SpatialPredicate::NearestD(f64::NAN),
+        SpatialPredicate::Nearest(-0.5),
+        SpatialPredicate::Nearest(f64::NAN),
+    ];
+
+    #[test]
+    fn broadcast_join_rejects_negative_or_nan_distance() {
+        let sys = system_with_grid();
+        for predicate in BAD_DISTANCES {
+            let err = sys
+                .broadcast_spatial_join("/pnt", "/roads", predicate)
+                .err()
+                .expect("invalid distance accepted");
+            assert!(
+                matches!(err, SpatialJoinError::InvalidPredicate(_)),
+                "{predicate:?}: {err}"
+            );
+        }
+        // -0 is a valid (zero) distance.
+        sys.broadcast_spatial_join("/pnt", "/roads", SpatialPredicate::NearestD(-0.0))
+            .unwrap();
+    }
+
+    #[test]
+    fn partitioned_join_rejects_negative_or_nan_distance() {
+        let sys = system_with_grid();
+        for predicate in BAD_DISTANCES {
+            let err = sys
+                .partitioned_spatial_join("/pnt", "/roads", predicate, 9)
+                .err()
+                .expect("invalid distance accepted");
+            assert!(
+                matches!(err, SpatialJoinError::InvalidPredicate(_)),
+                "{predicate:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -162,7 +162,10 @@ impl Envelope {
     }
 
     /// Minimum distance from the point to this envelope; zero when the
-    /// point is inside. Used for R-tree distance pruning.
+    /// point is inside. The lower bound of the R-tree's best-first
+    /// nearest-neighbour searches; the distance filter
+    /// (`RTree::for_each_within_distance`) compares the squared offsets
+    /// against a squared threshold instead, with the same outcome.
     pub fn distance_to_point(&self, p: Point) -> f64 {
         let dx = if p.x < self.min_x {
             self.min_x - p.x

@@ -256,7 +256,7 @@ pub fn parse_query(sql: &str) -> Result<Query, ImpalaError> {
         let d = p.number()?;
         p.expect_token(Token::RParen)?;
         check_sides(&p, &a, &b, &left_alias, &right_alias)?;
-        if d < 0.0 {
+        if d.is_nan() || d < 0.0 {
             return Err(p.err("ST_NearestD distance must be non-negative"));
         }
         if nearest_one {

@@ -404,8 +404,10 @@ impl MiniDfs {
         Ok(())
     }
 
-    /// Reads the whole file back as owned lines (test / example helper;
-    /// engines read block-wise for locality).
+    /// Reads the whole file back as owned lines, verifying every block's
+    /// checksum. SpatialSpark and ISP-MC read the broadcast right side
+    /// this way on every query; the left side is read block-wise, one
+    /// task per block.
     ///
     /// # Errors
     /// Fails with [`DfsError::NotFound`] for unknown paths.

@@ -236,6 +236,18 @@ impl<T> RTree<T> {
     /// child of an expanded inner node — the pop count of a
     /// pop-then-test traversal); the caller folds it into its own obs
     /// flush (`probe_with` pays one TLS access per point, not two).
+    ///
+    /// Each envelope test is branch-free: `squared_distance` against
+    /// one per-query threshold from `prune_threshold`, with no `sqrt`.
+    /// The visit sequence and node count equal those of testing
+    /// `env.distance_to_point(p) > distance` on every node, at any
+    /// `distance`, as long as every envelope the traversal tests is in
+    /// `squared_distance`'s exactness domain. Node envelopes are unions
+    /// (which drop NaN), so that holds whenever each entry envelope has
+    /// `min ≤ max` per axis, is [`Envelope::EMPTY`], or has a NaN bound
+    /// only opposite an infinite one or its other NaN bound — every
+    /// envelope a parsed record (finite or infinite coordinates, never
+    /// NaN) expanded by a non-negative radius can have.
     pub fn for_each_within_distance<'a, F: FnMut(&'a T)>(
         &'a self,
         p: Point,
@@ -245,10 +257,11 @@ impl<T> RTree<T> {
         if self.entries.is_empty() {
             return 0;
         }
+        let t = prune_threshold(distance);
         // Written as "prune when farther" (not "keep when within") so a
-        // NaN distance keeps the subtree, exactly as a pop-then-test
-        // traversal does.
-        let pruned = |env: &Envelope| env.distance_to_point(p) > distance;
+        // NaN distance (t = NaN) keeps the subtree, exactly as a
+        // pop-then-test traversal does.
+        let pruned = |env: &Envelope| squared_distance(env, p) > t;
         if pruned(&self.nodes[self.root as usize].env) {
             return 1;
         }
@@ -264,7 +277,7 @@ impl<T> RTree<T> {
             let count = node.count as usize;
             if node.is_leaf {
                 for (env, item) in &self.entries[first..first + count] {
-                    if env.distance_to_point(p) <= distance {
+                    if squared_distance(env, p) <= t {
                         visit(item);
                     }
                 }
@@ -436,6 +449,50 @@ impl<T> RTree<T> {
     pub fn entries(&self) -> impl Iterator<Item = &(Envelope, T)> {
         self.entries.iter()
     }
+}
+
+/// Squared distance from `p` to `env`, without branches: the per-axis
+/// offset is `(min − x).max(0).max(x − max)`, and `f64::max` drops NaN,
+/// so a NaN coordinate contributes 0. It equals the square of
+/// [`Envelope::distance_to_point`]'s offsets (bit for bit, so the
+/// `sqrt` of it is that distance) for every envelope where, per axis,
+/// `min ≤ max`, a bound is NaN, or `min` is `+∞` (as in
+/// [`Envelope::EMPTY`]). On an *inverted* axis (`max < x < min`, both
+/// finite) it may take the larger of the two offsets where
+/// `distance_to_point` takes `min − x`.
+#[inline]
+fn squared_distance(env: &Envelope, p: Point) -> f64 {
+    let dx = (env.min_x - p.x).max(0.0).max(p.x - env.max_x);
+    let dy = (env.min_y - p.y).max(0.0).max(p.y - env.max_y);
+    dx * dx + dy * dy
+}
+
+/// The squared-distance threshold of a distance query: the largest
+/// double `t` with `fl(sqrt(t)) ≤ distance`, so that for every squared
+/// distance `s` in `[0, +∞]`, `s.sqrt() > distance ⇔ s > t` (`sqrt` is
+/// correctly rounded, hence monotone). A NaN distance gives NaN (no
+/// comparison holds, as with the `sqrt` form), a negative one gives −1
+/// (everything is farther), and `+∞` gives `+∞`.
+fn prune_threshold(distance: f64) -> f64 {
+    if distance.is_nan() {
+        return f64::NAN;
+    }
+    if distance < 0.0 {
+        return -1.0;
+    }
+    if distance == f64::INFINITY {
+        return f64::INFINITY;
+    }
+    // `distance²` is within a few ulps of the answer (it overflows only
+    // when every finite square root is ≤ `distance`).
+    let mut t = (distance * distance).min(f64::MAX);
+    while t.sqrt() > distance {
+        t = t.next_down();
+    }
+    while t < f64::MAX && t.next_up().sqrt() <= distance {
+        t = t.next_up();
+    }
+    t
 }
 
 /// In-place STR ordering: sort by centre x, then within each vertical
@@ -667,6 +724,243 @@ mod tests {
         let far = Point::new(1e6, 1e6);
         assert_eq!(tree.for_each_within_distance(far, 1.0, |_| {}), 1);
         assert_eq!(pop_then_test(&tree, far, 1.0).1, 1);
+    }
+
+    /// The filter kernel before the squared-distance rewrite, kept as
+    /// the oracle: test-before-push on `distance_to_point` (a `sqrt`)
+    /// against `distance`.
+    fn sqrt_kernel(tree: &RTree<usize>, p: Point, distance: f64) -> (Vec<usize>, u64) {
+        let mut seen = Vec::new();
+        if tree.entries.is_empty() {
+            return (seen, 0);
+        }
+        let pruned = |env: &Envelope| env.distance_to_point(p) > distance;
+        if pruned(&tree.nodes[tree.root as usize].env) {
+            return (seen, 1);
+        }
+        let mut stack = vec![tree.root];
+        let mut visited: u64 = 1;
+        while let Some(id) = stack.pop() {
+            let node = &tree.nodes[id as usize];
+            let (first, count) = (node.first as usize, node.count as usize);
+            if node.is_leaf {
+                for (env, item) in &tree.entries[first..first + count] {
+                    if env.distance_to_point(p) <= distance {
+                        seen.push(*item);
+                    }
+                }
+            } else {
+                visited += count as u64;
+                for child in first..first + count {
+                    if !pruned(&tree.nodes[child].env) {
+                        stack.push(child as u32);
+                    }
+                }
+            }
+        }
+        (seen, visited)
+    }
+
+    /// Coordinates that stress the kernel: ordinary values, signed
+    /// zeros, infinities, NaN, subnormals and offsets whose square
+    /// underflows (1e-170² = 0) or lands in the subnormal range.
+    fn draw_coord(d: &mut proph::Data) -> f64 {
+        const SPECIAL: [f64; 14] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            5e-324,
+            -5e-324,
+            1e-310,
+            1e-170,
+            -1e-170,
+            2e-170,
+            1e-160,
+            -1e-160,
+            1e200,
+        ];
+        match d.draw_bounded(3) {
+            0 => SPECIAL[d.draw_bounded(SPECIAL.len() as u64) as usize],
+            // Small integers, so points land exactly on edges too.
+            1 => d.draw_bounded(21) as f64 - 10.0,
+            _ => d.draw_unit_f64() * 20.0 - 10.0,
+        }
+    }
+
+    /// An envelope in [`squared_distance`]'s exactness domain: per axis
+    /// `min ≤ max` over non-NaN values, or a NaN bound, or
+    /// [`Envelope::EMPTY`]. With `tree_safe`, a NaN bound appears only
+    /// opposite an infinite or NaN one — the entries whose unions (the
+    /// node envelopes) stay in the domain; a few are also expanded by a
+    /// radius, the way the joins build their entries.
+    fn draw_envelope(d: &mut proph::Data, tree_safe: bool) -> Envelope {
+        if d.draw_bounded(16) == 0 {
+            return Envelope::EMPTY;
+        }
+        let axis = |d: &mut proph::Data| {
+            let (a, b) = (draw_coord(d), draw_coord(d));
+            if a.is_nan() || b.is_nan() {
+                return if tree_safe {
+                    [
+                        (f64::NAN, f64::NAN),
+                        (f64::NAN, f64::INFINITY),
+                        (f64::NEG_INFINITY, f64::NAN),
+                    ][d.draw_bounded(3) as usize]
+                } else {
+                    (a, b)
+                };
+            }
+            let (mut lo, mut hi) = (a.min(b), a.max(b));
+            if !tree_safe {
+                match d.draw_bounded(12) {
+                    0 => lo = f64::NAN,
+                    1 => hi = f64::NAN,
+                    _ => {}
+                }
+            }
+            (lo, hi)
+        };
+        let (min_x, max_x) = axis(d);
+        let (min_y, max_y) = axis(d);
+        let env = Envelope {
+            min_x,
+            min_y,
+            max_x,
+            max_y,
+        };
+        if !tree_safe {
+            return env;
+        }
+        match d.draw_bounded(8) {
+            1 => env.expanded_by(500.0),
+            2 => env.expanded_by(f64::INFINITY),
+            _ => env,
+        }
+    }
+
+    fn draw_distance(d: &mut proph::Data) -> f64 {
+        match d.draw_bounded(10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -d.draw_unit_f64() * 5.0 - 5e-324,
+            3 => f64::NAN,
+            4 => f64::INFINITY,
+            5 => 5e-324,
+            6 => 1e-170,
+            7 => 1e200,
+            _ => d.draw_unit_f64() * 8.0,
+        }
+    }
+
+    fn draw_probes(d: &mut proph::Data, n: usize) -> Vec<(Point, f64)> {
+        (0..n)
+            .map(|_| (Point::new(draw_coord(d), draw_coord(d)), draw_distance(d)))
+            .collect()
+    }
+
+    /// Envelopes over the whole domain, each with probes.
+    struct EnvelopeCase;
+
+    impl proph::Gen for EnvelopeCase {
+        type Value = Vec<(Envelope, Vec<(Point, f64)>)>;
+
+        fn generate(&self, d: &mut proph::Data) -> Self::Value {
+            (0..64)
+                .map(|_| (draw_envelope(d, false), draw_probes(d, 16)))
+                .collect()
+        }
+    }
+
+    /// A tree (1..=400 entries, up to three levels) plus probes.
+    struct TreeCase;
+
+    impl proph::Gen for TreeCase {
+        type Value = (Vec<Envelope>, Vec<(Point, f64)>);
+
+        fn generate(&self, d: &mut proph::Data) -> Self::Value {
+            let max = if d.draw_bounded(2) == 0 { 20 } else { 400 };
+            let n = 1 + d.draw_bounded(max) as usize;
+            let envs = (0..n).map(|_| draw_envelope(d, true)).collect();
+            (envs, draw_probes(d, 50))
+        }
+    }
+
+    #[test]
+    fn squared_distance_decides_like_distance_to_point() {
+        proph::check("squared test ≡ sqrt test", &EnvelopeCase, |cases| {
+            for (env, probes) in cases {
+                for (p, dist) in probes {
+                    let s = squared_distance(&env, p);
+                    let old = env.distance_to_point(p);
+                    assert_eq!(s.sqrt().to_bits(), old.to_bits(), "{env:?} p={p:?}");
+                    let t = prune_threshold(dist);
+                    assert_eq!(s > t, old > dist, "{env:?} p={p:?} d={dist:?}");
+                    assert_eq!(s <= t, old <= dist, "{env:?} p={p:?} d={dist:?}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn squared_kernel_matches_sqrt_kernel_visit_for_visit() {
+        let cfg = proph::Config {
+            cases: 400,
+            ..proph::Config::default()
+        };
+        proph::check_with(
+            cfg,
+            "squared kernel ≡ sqrt kernel",
+            &TreeCase,
+            |(envs, probes)| {
+                let tree = RTree::bulk_load_by(&envs, |i| i);
+                for (p, dist) in probes {
+                    let (want, want_nodes) = sqrt_kernel(&tree, p, dist);
+                    let mut got = Vec::new();
+                    let nodes = tree.for_each_within_distance(p, dist, |&i| got.push(i));
+                    assert_eq!(got, want, "p={p:?} d={dist:?}");
+                    assert_eq!(nodes, want_nodes, "p={p:?} d={dist:?}");
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn prune_threshold_splits_square_roots_exactly() {
+        let mut ds = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            1e-310,
+            1e-170,
+            1e-160,
+            f64::MIN_POSITIVE,
+            1.0,
+            2.0,
+            500.0,
+            1e154,
+            1.3407807929942596e154,
+            1e200,
+            f64::MAX,
+        ];
+        // A sweep over thirty decades, with neighbours of each value.
+        let mut d: f64 = 1e-15;
+        while d < 1e15 {
+            ds.extend([d.next_down(), d, d.next_up()]);
+            d *= 1.618_033_988_749_895;
+        }
+        for d in ds {
+            let t = prune_threshold(d);
+            assert!(t >= 0.0 && !t.is_nan(), "d={d:e} t={t:e}");
+            assert!(t.sqrt() <= d, "t itself must pass: d={d:e} t={t:e}");
+            let up = t.next_up();
+            assert!(up.sqrt() > d, "next double must fail: d={d:e} t={t:e}");
+        }
+        assert!(prune_threshold(f64::NAN).is_nan());
+        assert!(prune_threshold(-1.0) < 0.0);
+        assert!(prune_threshold(f64::NEG_INFINITY) < 0.0);
+        assert_eq!(prune_threshold(f64::INFINITY), f64::INFINITY);
     }
 
     #[test]
