@@ -33,9 +33,11 @@
 #                                 which lives in a workspace of its own
 #  11. perf ledger smoke          builds perfbench in release and runs
 #                                 the BENCHMARK.json command on
-#                                 taxi-nycb (seed 1, 1 s, traced);
-#                                 asserts the result line reports every
-#                                 query correct and 0 failed
+#                                 taxi-nycb, then on taxi-lion-500
+#                                 (~4.8 M NearestD pairs per query),
+#                                 each at seed 1, 1 s, traced; asserts
+#                                 each result line reports every query
+#                                 correct and 0 failed
 #
 # Exit codes:
 #   0  everything passed
@@ -49,7 +51,7 @@
 #   8  chaos suite failed, or fault-tolerance artifact missing/malformed
 #   9  workspace tests failed
 #  10  a bench, bin or the perfbench crate failed to compile
-#  11  the perf ledger smoke run failed, or its result line reports a
+#  11  a perf ledger smoke run failed, or its result line reports a
 #      wrong or failed query
 set -u
 
@@ -162,12 +164,13 @@ echo "ci: build every target, check perfbench"
 cargo build --offline -q --workspace --all-targets || exit 10
 cargo check --offline -q --manifest-path perfbench/Cargo.toml || exit 10
 
-echo "ci: perf ledger smoke (perfbench taxi-nycb, seed 1, 1 s, traced)"
-ledger_out=$(cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
-    --workload taxi-nycb --seed 1 --seconds 1 --trace 1) || exit 11
-ledger_last=$(printf '%s\n' "$ledger_out" | tail -n 1)
-if command -v python3 >/dev/null 2>&1; then
-    printf '%s\n' "$ledger_last" | python3 -c '
+for workload in taxi-nycb taxi-lion-500; do
+    echo "ci: perf ledger smoke (perfbench $workload, seed 1, 1 s, traced)"
+    ledger_out=$(cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1) || exit 11
+    ledger_last=$(printf '%s\n' "$ledger_out" | tail -n 1)
+    if command -v python3 >/dev/null 2>&1; then
+        printf '%s\n' "$ledger_last" | python3 -c '
 import json, sys
 d = json.loads(sys.stdin.read())
 assert d["correct"] is True, d
@@ -175,10 +178,11 @@ assert d["failed"] == 0, d
 assert d["attempted"] > 0, d
 print("ci: perf ledger smoke ok (%d queries)" % d["attempted"])
 ' || exit 11
-else
-    printf '%s\n' "$ledger_last" | grep -q '"correct": *true' || exit 11
-    printf '%s\n' "$ledger_last" | grep -q '"failed": *0[,}]' || exit 11
-fi
+    else
+        printf '%s\n' "$ledger_last" | grep -q '"correct": *true' || exit 11
+        printf '%s\n' "$ledger_last" | grep -q '"failed": *0[,}]' || exit 11
+    fi
+done
 
 echo "ci: ok"
 exit 0

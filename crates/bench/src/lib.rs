@@ -389,16 +389,30 @@ fn scale_tasks(tasks: &[TaskSpec], factor: f64) -> Vec<TaskSpec> {
         .collect()
 }
 
+/// True for a SpatialSpark stage over the right side, which is
+/// generated at full cardinality: the executors' right-side parse
+/// (`collect:`, see `spatialjoin::spark::RIGHT_PARSE_STAGE`), the
+/// driver-side build (`driver:`) and the broadcast marker
+/// (`broadcast:`). A lineage recompute of a stage (`recompute:` plus
+/// its name) is on the same side as the stage.
+pub fn is_right_side_stage(name: &str) -> bool {
+    let name = name.strip_prefix("recompute:").unwrap_or(name);
+    ["collect:", "driver:", "broadcast:"]
+        .iter()
+        .any(|prefix| name.starts_with(prefix))
+}
+
 /// Scales a SpatialSpark job report to full dataset size: left-side
 /// stages (parse, probe, shuffle volumes) get the full cost factor;
-/// the driver-side right-table build (already full cardinality) gets
-/// only the CPU calibration; broadcast bytes are full-size as is.
+/// right-side stages ([`is_right_side_stage`], already full
+/// cardinality) get only the CPU calibration; broadcast bytes are
+/// full-size as is.
 pub fn scale_spark_report(report: &JobReport, replay: &Replay) -> JobReport {
     let stages = report
         .stages
         .iter()
         .map(|s| {
-            let left_side = !s.name.starts_with("driver:") && !s.name.starts_with("broadcast:");
+            let left_side = !is_right_side_stage(&s.name);
             let factor = if left_side {
                 replay.cost_factor()
             } else {
@@ -750,8 +764,7 @@ mod tests {
         };
         let scaled = scale_spark_report(&run.report, &replay);
         for (orig, sc) in run.report.stages.iter().zip(&scaled.stages) {
-            let factor = if orig.name.starts_with("driver:") || orig.name.starts_with("broadcast:")
-            {
+            let factor = if is_right_side_stage(&orig.name) {
                 replay.right_side_factor()
             } else {
                 replay.cost_factor()
@@ -759,6 +772,40 @@ mod tests {
             for (a, b) in orig.tasks.iter().zip(&sc.tasks) {
                 assert!((b.cost - a.cost * factor).abs() < 1e-12);
             }
+        }
+    }
+
+    #[test]
+    fn right_side_parse_scales_by_the_calibration_only() {
+        use spatialjoin::spark::{LEFT_PARSE_STAGE, RIGHT_PARSE_STAGE};
+        assert!(is_right_side_stage(RIGHT_PARSE_STAGE));
+        assert!(is_right_side_stage(&format!(
+            "recompute:{RIGHT_PARSE_STAGE}"
+        )));
+        assert!(is_right_side_stage("driver:collect+build-strtree"));
+        assert!(is_right_side_stage("broadcast:strtree"));
+        assert!(!is_right_side_stage(LEFT_PARSE_STAGE));
+        assert!(!is_right_side_stage(&format!(
+            "recompute:{LEFT_PARSE_STAGE}"
+        )));
+        assert!(!is_right_side_stage("flatMap:rtree-probe+refine"));
+
+        // The right side is full cardinality: at the ledger's scale a
+        // left-side factor would multiply its parse by 70 000, not 70.
+        let w = build_small_workload(0.0001, 0.01, 9).expect("workload builds");
+        let run = run_spark(&w, Experiment::TaxiNycb, 2).expect("spark runs");
+        let replay = Replay::new(0.001);
+        let scaled = scale_spark_report(&run.report, &replay);
+        let (orig, sc) = run
+            .report
+            .stages
+            .iter()
+            .zip(&scaled.stages)
+            .find(|(s, _)| s.name == RIGHT_PARSE_STAGE)
+            .expect("the broadcast join records a right-side parse stage");
+        assert!(orig.tasks.len() > 1, "one task per right-side block");
+        for (a, b) in orig.tasks.iter().zip(&sc.tasks) {
+            assert!((b.cost - a.cost * replay.right_side_factor()).abs() < 1e-12);
         }
     }
 }

@@ -3,12 +3,18 @@
 //! A faithful port of the paper's Fig. 2 skeleton onto sparklet:
 //!
 //! 1. `textFile` the left side (one partition per HDFS block),
-//! 2. `map` each line through the WKT reader, dropping failures,
-//! 3. collect the (small) right side on the driver, build an STR-tree
-//!    of *prepared* (JTS-like) geometries with envelopes expanded by
-//!    the query radius, and broadcast it,
+//! 2. `map` each line through the WKT reader, dropping failures —
+//!    steps 1 and 2 run as one stage, as Spark pipelines them,
+//! 3. parse the (small) right side the same way, as a stage of its own
+//!    with one task per block, and collect the records on the driver
+//!    by move; build an STR-tree of *prepared* (JTS-like) geometries
+//!    with envelopes expanded by the query radius, free the parsed
+//!    records, and broadcast the tree,
 //! 4. `flatMap` every left point through an R-tree probe plus
 //!    refinement.
+//!
+//! The code runs step 3 first: the broadcast must exist before the
+//! probe stage starts.
 //!
 //! Dynamic task scheduling and the JTS-like refinement engine are what
 //! distinguish this system from ISP-MC in the paper's results.
@@ -22,7 +28,15 @@ use std::time::Instant;
 use crate::error::SpatialJoinError;
 use crate::parallel::PreparedSet;
 use crate::reader::RecordReader;
-use crate::JoinPair;
+use crate::{GeomRecord, JoinPair};
+
+/// Stage that parses the left side's WKT points, one task per block.
+pub const LEFT_PARSE_STAGE: &str = "map:parse-wkt";
+
+/// Stage that parses the right side's WKT geometries, one task per
+/// block, for the driver to collect. Its input is the full-cardinality
+/// right side, like the `driver:` build and the `broadcast:` marker.
+pub const RIGHT_PARSE_STAGE: &str = "collect:parse-wkt";
 
 /// The SpatialSpark system: a spark context plus the join driver.
 pub struct SpatialSpark {
@@ -102,12 +116,15 @@ impl SpatialSpark {
         let engine = FlatEngine;
         let reader = RecordReader::new(1);
 
-        // --- driver side: collect right, prepare once, broadcast ---
+        // --- executors parse right, driver collects and prepares once,
+        // then broadcasts ---
         let right_stat = self.sc.dfs().stat(right_path)?;
-        let right_lines = self.sc.dfs().read_all_lines(right_path)?;
+        let right_records = self.collect_right(right_path, reader)?;
         let t0 = Instant::now();
-        let (right_records, _) = reader.read_geoms(&right_lines);
         let set = PreparedSet::prepare(&right_records, predicate, &engine);
+        // The prepared set owns its copies; the parsed records would
+        // only add to the peak while the probe runs.
+        drop(right_records);
         let build_secs = t0.elapsed().as_secs_f64();
         self.sc.record_stage(StageMetrics {
             name: "driver:collect+build-strtree".into(),
@@ -120,10 +137,11 @@ impl SpatialSpark {
             .record_movement("broadcast:strtree", broadcast.approx_bytes(), 0);
 
         // --- executors: parse left, probe the shared prepared set ---
-        let left = self.sc.text_file(left_path)?;
-        let parsed = left.map("map:parse-wkt", move |line: &String| {
-            reader.read_point(line).ok()
-        });
+        let parsed = self
+            .sc
+            .text_file(left_path, LEFT_PARSE_STAGE, move |line| {
+                reader.read_point(line).ok()
+            })?;
         let set_ref = broadcast.clone();
         let pairs_ds = parsed.flat_map_with("flatMap:rtree-probe+refine", move |rec, out| {
             if let Some((id, p)) = rec {
@@ -142,6 +160,22 @@ impl SpatialSpark {
 }
 
 impl SpatialSpark {
+    /// Parses the right side on the executors, one task per DFS block,
+    /// as the [`RIGHT_PARSE_STAGE`] stage, and gathers the records on
+    /// the driver by move, in file order. Malformed lines are dropped.
+    fn collect_right(
+        &self,
+        right_path: &str,
+        reader: RecordReader,
+    ) -> Result<Vec<GeomRecord>, SpatialJoinError> {
+        let parsed = self
+            .sc
+            .text_file(right_path, RIGHT_PARSE_STAGE, move |line| {
+                reader.read_geom(line).ok()
+            })?;
+        Ok(parsed.into_vec().into_iter().flatten().collect())
+    }
+
     /// The spatially *partitioned* join — the SpatialHadoop/HadoopGIS
     /// strategy of §II expressed in dataset operations, kept as the
     /// alternative to the broadcast join for right sides too large to
@@ -177,16 +211,16 @@ impl SpatialSpark {
         let reader = RecordReader::new(1);
         let radius = predicate.filter_radius();
 
-        // --- parse left side ---
-        let left = self.sc.text_file(left_path)?;
-        let parsed = left.map("map:parse-wkt", move |line: &String| {
-            reader.read_point(line).ok()
-        });
+        // --- parse left side, then right side ---
+        let parsed = self
+            .sc
+            .text_file(left_path, LEFT_PARSE_STAGE, move |line| {
+                reader.read_point(line).ok()
+            })?;
+        let right_records = self.collect_right(right_path, reader)?;
 
-        // --- driver: sample + build the STR partitioner ---
-        let right_lines = self.sc.dfs().read_all_lines(right_path)?;
+        // --- driver: prepare, sample + build the STR partitioner ---
         let t0 = Instant::now();
-        let (right_records, _) = reader.read_geoms(&right_lines);
         let set = PreparedSet::prepare(&right_records, predicate, &engine);
         let all_points: Vec<geom::Point> = parsed
             .collect()
@@ -232,6 +266,7 @@ impl SpatialSpark {
                 replicated_bytes += (g.num_points() * 16 + 16) as u64;
             }
         }
+        drop(right_records);
         self.sc
             .record_movement("shuffle:replicate-right", 0, replicated_bytes);
 
@@ -329,6 +364,101 @@ mod tests {
         assert!(names.iter().any(|n| n.contains("broadcast")));
         assert!(names.iter().any(|n| n.contains("parse-wkt")));
         assert!(names.iter().any(|n| n.contains("probe")));
+    }
+
+    #[test]
+    fn both_sides_are_parsed_as_block_stages() {
+        let sys = system_with_grid();
+        let run = sys
+            .broadcast_spatial_join("/pnt", "/poly", SpatialPredicate::Within)
+            .unwrap();
+        let blocks = |path| sys.context().dfs().blocks(path).unwrap().len();
+        let stage = |name| {
+            run.report
+                .stages
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("no stage {name}"))
+        };
+        assert_eq!(stage(RIGHT_PARSE_STAGE).tasks.len(), blocks("/poly"));
+        assert_eq!(stage(LEFT_PARSE_STAGE).tasks.len(), blocks("/pnt"));
+        // The right side is parsed before the build that needs it.
+        let names: Vec<&str> = run.report.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            &names[..2],
+            [RIGHT_PARSE_STAGE, "driver:collect+build-strtree"]
+        );
+    }
+
+    #[test]
+    fn worker_parse_counts_reach_the_driver() {
+        // A fresh thread, so the snapshot delta sees only these joins.
+        std::thread::spawn(|| {
+            let dfs = system_with_grid().context().dfs().clone();
+            let sys = SpatialSpark::new(
+                SparkConf {
+                    threads: 3,
+                    ..SparkConf::default()
+                },
+                dfs,
+            );
+            // 100 points plus 4 polygons, whichever threads parse them.
+            for partitioned in [false, true] {
+                let before = obs::thread_snapshot();
+                if partitioned {
+                    sys.partitioned_spatial_join("/pnt", "/poly", SpatialPredicate::Within, 9)
+                } else {
+                    sys.broadcast_spatial_join("/pnt", "/poly", SpatialPredicate::Within)
+                }
+                .unwrap();
+                let delta = obs::thread_snapshot().minus(&before);
+                assert_eq!(delta.records_parsed, 104, "partitioned: {partitioned}");
+                assert_eq!(delta.records_skipped, 0);
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn lost_ingest_tasks_are_recomputed_bit_identically() {
+        let dfs = MiniDfs::new(4, 64).unwrap();
+        let base = system_with_grid();
+        for path in ["/pnt", "/poly"] {
+            let lines = base.context().dfs().read_all_lines(path).unwrap();
+            dfs.write_lines(path, &lines).unwrap();
+        }
+        let fault_free = SpatialSpark::new(SparkConf::default(), dfs.clone())
+            .broadcast_spatial_join("/pnt", "/poly", SpatialPredicate::Within)
+            .unwrap()
+            .pairs;
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        // Seeds until both parse stages have lost a task and recovered.
+        let mut recomputed = [false; 2];
+        for seed in 0..64 {
+            let conf = SparkConf {
+                chaos: cluster::ChaosConfig {
+                    panic_rate: 0.2,
+                    ..cluster::ChaosConfig::uniform(seed, 0.0)
+                },
+                ..SparkConf::default()
+            };
+            let sys = SpatialSpark::new(conf, dfs.clone());
+            let run = sys
+                .broadcast_spatial_join("/pnt", "/poly", SpatialPredicate::Within)
+                .unwrap();
+            assert_eq!(run.pairs, fault_free, "seed {seed}");
+            for (i, stage) in [RIGHT_PARSE_STAGE, LEFT_PARSE_STAGE].iter().enumerate() {
+                let recompute = format!("recompute:{stage}");
+                recomputed[i] |= run.report.stages.iter().any(|s| s.name == recompute);
+            }
+            if recomputed == [true, true] {
+                break;
+            }
+        }
+        std::panic::set_hook(hook);
+        assert_eq!(recomputed, [true, true], "both ingest stages lost a task");
     }
 
     #[test]

@@ -120,6 +120,27 @@ fn write_polygon_body(poly: &Polygon, out: &mut String) {
     out.push(')');
 }
 
+/// The geometry types the parser accepts.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Point,
+    LineString,
+    Polygon,
+    MultiPoint,
+    MultiLineString,
+    MultiPolygon,
+}
+
+/// Each type's WKT keyword, matched ignoring ASCII case.
+const KINDS: [(&[u8], Kind); 6] = [
+    (b"POINT", Kind::Point),
+    (b"LINESTRING", Kind::LineString),
+    (b"POLYGON", Kind::Polygon),
+    (b"MULTIPOINT", Kind::MultiPoint),
+    (b"MULTILINESTRING", Kind::MultiLineString),
+    (b"MULTIPOLYGON", Kind::MultiPolygon),
+];
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -143,7 +164,7 @@ impl<'a> Parser<'a> {
     // The per-coordinate scanning primitives. Every coordinate of every
     // record funnels through these, so they must never touch the
     // allocator; the allocating helpers (`consume`'s error message,
-    // `keyword`'s owned string) live below, outside the region.
+    // `unknown_keyword`) live below, outside the region.
     // tidy:alloc-free:start
     fn at_end(&self) -> bool {
         self.pos >= self.bytes.len()
@@ -201,6 +222,23 @@ impl<'a> Parser<'a> {
                 offset: start,
             })
     }
+
+    /// Scans the next alphabetic keyword and matches it, ignoring ASCII
+    /// case, against the six geometry types. `Err` carries the
+    /// keyword's byte span, so only the error path allocates.
+    fn keyword(&mut self) -> Result<Kind, (usize, usize)> {
+        self.skip_ws();
+        let start = self.pos;
+        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_alphabetic() {
+            self.pos += 1;
+        }
+        let word = &self.bytes[start..self.pos];
+        KINDS
+            .iter()
+            .find(|(name, _)| word.eq_ignore_ascii_case(name))
+            .map(|&(_, kind)| kind)
+            .ok_or((start, self.pos))
+    }
     // tidy:alloc-free:end
 
     fn consume(&mut self, b: u8) -> Result<(), GeomError> {
@@ -211,21 +249,6 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.error(&format!("expected '{}'", b as char)))
         }
-    }
-
-    /// Reads the next alphabetic keyword, upper-cased.
-    fn keyword(&mut self) -> Result<String, GeomError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_alphabetic() {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.error("expected a keyword"));
-        }
-        let word = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("keyword is not ASCII"))?;
-        Ok(word.to_ascii_uppercase())
     }
 
     /// `( x y, x y, ... )` — a parenthesised coordinate list, returned flat.
@@ -257,22 +280,38 @@ impl<'a> Parser<'a> {
         Ok(Polygon::new(exterior, holes))
     }
 
+    /// The error for a keyword that names no geometry type.
+    fn unknown_keyword(&self, (start, end): (usize, usize)) -> GeomError {
+        if start == end {
+            return GeomError::WktParse {
+                message: "expected a keyword".into(),
+                offset: start,
+            };
+        }
+        // The span is ASCII letters, so it is valid UTF-8.
+        let word = String::from_utf8_lossy(&self.bytes[start..end]).to_ascii_uppercase();
+        GeomError::WktParse {
+            message: format!("unknown geometry type '{word}'"),
+            offset: 0,
+        }
+    }
+
     fn parse_geometry(&mut self) -> Result<Geometry, GeomError> {
-        let kw = self.keyword()?;
-        match kw.as_str() {
-            "POINT" => {
+        let kind = self.keyword().map_err(|span| self.unknown_keyword(span))?;
+        match kind {
+            Kind::Point => {
                 self.consume(b'(')?;
                 let x = self.number()?;
                 let y = self.number()?;
                 self.consume(b')')?;
                 Ok(Geometry::Point(Point::new(x, y)))
             }
-            "LINESTRING" => {
+            Kind::LineString => {
                 let coords = self.coord_list()?;
                 Ok(Geometry::LineString(LineString::new(coords)?))
             }
-            "POLYGON" => Ok(Geometry::Polygon(self.polygon_body()?)),
-            "MULTIPOINT" => {
+            Kind::Polygon => Ok(Geometry::Polygon(self.polygon_body()?)),
+            Kind::MultiPoint => {
                 if self.try_empty() {
                     return Ok(Geometry::MultiPoint(MultiPoint::new(vec![])));
                 }
@@ -294,7 +333,7 @@ impl<'a> Parser<'a> {
                 self.consume(b')')?;
                 Ok(Geometry::MultiPoint(MultiPoint::new(points)))
             }
-            "MULTILINESTRING" => {
+            Kind::MultiLineString => {
                 if self.try_empty() {
                     return Ok(Geometry::MultiLineString(MultiLineString::new(vec![])));
                 }
@@ -309,7 +348,7 @@ impl<'a> Parser<'a> {
                 self.consume(b')')?;
                 Ok(Geometry::MultiLineString(MultiLineString::new(lines)))
             }
-            "MULTIPOLYGON" => {
+            Kind::MultiPolygon => {
                 if self.try_empty() {
                     return Ok(Geometry::MultiPolygon(MultiPolygon::new(vec![])));
                 }
@@ -324,10 +363,6 @@ impl<'a> Parser<'a> {
                 self.consume(b')')?;
                 Ok(Geometry::MultiPolygon(MultiPolygon::new(polygons)))
             }
-            other => Err(GeomError::WktParse {
-                message: format!("unknown geometry type '{other}'"),
-                offset: 0,
-            }),
         }
     }
 }
@@ -406,6 +441,33 @@ mod tests {
         assert!(parse("POINT (1 2) junk").is_err());
         assert!(parse("").is_err());
         assert!(parse("POLYGON ((0 0, 1 1))").is_err()); // ring too short
+    }
+
+    #[test]
+    fn keywords_match_whole_words_in_any_case() {
+        assert!(parse("mUlTiPoLyGoN EMPTY").is_ok());
+        assert!(parse("multilinestring ((0 0, 1 1))").is_ok());
+        for (input, word) in [
+            ("circle (0 0)", "CIRCLE"),
+            ("POINTX (1 2)", "POINTX"),
+            ("Poin (1 2)", "POIN"),
+            ("MULTIPOINTS (1 2)", "MULTIPOINTS"),
+        ] {
+            match parse(input).unwrap_err() {
+                GeomError::WktParse { message, offset } => {
+                    assert_eq!(message, format!("unknown geometry type '{word}'"));
+                    assert_eq!(offset, 0);
+                }
+                other => panic!("expected parse error, got {other:?}"),
+            }
+        }
+        match parse("  (1 2)").unwrap_err() {
+            GeomError::WktParse { message, offset } => {
+                assert_eq!(message, "expected a keyword");
+                assert_eq!(offset, 2);
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -367,27 +367,43 @@ impl Impalad {
         let predicate = plan.predicate;
         let radius = predicate.filter_radius();
 
+        let static_opts = PoolOptions::new(self.conf.threads, ScheduleMode::Static);
+
         // --- Fragment 0: scan right table, broadcast, build R-tree ---
         // In the real system every instance receives the broadcast WKT
         // row batches and parses + builds its own tree; the measured
-        // build time below is that per-instance cost.
+        // build time below is that per-instance cost. The parse runs on
+        // the pool, one task per block, straight from the block bytes;
+        // stitched in block order, the records and so the STR packing
+        // are those of a serial parse.
         let right_stat = self.dfs.stat(&plan.right_path)?;
-        let right_lines = self.read_retrying(0, || self.dfs.read_all_lines(&plan.right_path))?;
+        let right_blocks = self.read_retrying(0, || self.dfs.blocks(&plan.right_path))?;
         obs::bytes_moved(right_stat.total_bytes as u64, 0);
         let t0 = Instant::now();
-        let mut parsed: Vec<(i64, Geometry)> = Vec::new();
-        let mut envelopes: Vec<geom::Envelope> = Vec::new();
-        for line in &right_lines {
-            if let Some(row) = Row::from_line(line, plan.right_geom_col) {
-                if let Ok(g) = geom::wkt::parse(&row.wkt) {
-                    envelopes.push(g.envelope().expanded_by(radius));
-                    parsed.push((row.id, g));
+        let right_geom_col = plan.right_geom_col;
+        let parse = cluster::dispatch(right_blocks.len(), static_opts, |i, _, out| {
+            for line in right_blocks[i].lines() {
+                let Some((id, wkt)) = Row::split_line(line, right_geom_col) else {
+                    continue;
+                };
+                #[cfg(test)]
+                tests::build_bug(id);
+                if let Ok(g) = geom::wkt::parse(wkt) {
+                    out.push((id, g));
                 }
             }
+        })
+        .fold_counters();
+        if !parse.failures.is_empty() {
+            // Fail fast, like every other fragment: the records parsed
+            // so far are dropped with `parse`.
+            return Err(fragment_failed("build", &parse.failures));
         }
-        // The leaf-order build keeps the parsed copy alive until every
-        // payload is prepared; free the text first to bound the peak.
-        drop(right_lines);
+        let parsed: Vec<(i64, Geometry)> = parse.out;
+        let envelopes: Vec<geom::Envelope> = parsed
+            .iter()
+            .map(|(_, g)| g.envelope().expanded_by(radius))
+            .collect();
         // Prepared in leaf order, so one leaf's candidates (and their
         // coordinate blocks) are adjacent in memory.
         let tree: RTree<(i64, Geometry)> = RTree::bulk_load_by(&envelopes, |i| {
@@ -401,7 +417,6 @@ impl Impalad {
         let blocks = self.read_retrying(1, || self.dfs.blocks(&plan.left_path))?;
         let localities: Vec<Option<usize>> = blocks.iter().map(|b| Some(b.primary_node)).collect();
         let geom_col = plan.left_geom_col;
-        let static_opts = PoolOptions::new(self.conf.threads, ScheduleMode::Static);
         // Fail-fast: any scan task dying aborts the query; Impala fixes
         // the plan before execution and cannot reschedule.
         let scan = cluster::dispatch(blocks.len(), static_opts, |i, attempt, out| {
@@ -764,6 +779,86 @@ mod tests {
     pub(super) fn probe_bug(id: i64) {
         if id == BUGGY_ROW {
             std::panic::panic_any(format!("probe bug at row {id}"));
+        }
+    }
+
+    /// Right-row id that trips [`build_bug`].
+    const BUGGY_RIGHT_ROW: i64 = -4343;
+
+    /// Stands in for a bug in fragment 0's parse: panics on the right
+    /// row with id [`BUGGY_RIGHT_ROW`].
+    pub(super) fn build_bug(id: i64) {
+        if id == BUGGY_RIGHT_ROW {
+            std::panic::panic_any(format!("build bug at row {id}"));
+        }
+    }
+
+    /// The fixture with both tables rewritten into 64-byte blocks, so
+    /// fragment 0 parses the right table as several tasks.
+    fn fixture_small_blocks(extra_right: &[String]) -> (MiniDfs, Catalog) {
+        let (big, catalog) = fixture();
+        let dfs = MiniDfs::new(4, 64).unwrap();
+        let pnt = big.read_all_lines("/pnt").unwrap();
+        let mut poly = big.read_all_lines("/poly").unwrap();
+        poly.extend_from_slice(extra_right);
+        dfs.write_lines("/pnt", &pnt).unwrap();
+        dfs.write_lines("/poly", &poly).unwrap();
+        assert!(dfs.stat("/poly").unwrap().num_blocks > 2);
+        (dfs, catalog)
+    }
+
+    #[test]
+    fn build_fragment_is_identical_at_any_thread_count() {
+        let (dfs, catalog) = fixture_small_blocks(&[
+            // Malformed right rows are dropped, wherever they sit.
+            "x\tPOLYGON ((0 0, 1 0, 1 1, 0 0))".into(),
+            "9\tNOT_WKT".into(),
+            "8\tPOLYGON ((2 2, 3 2, 3 3, 2 3, 2 2))".into(),
+        ]);
+        let run = |threads| {
+            let conf = ImpaladConf {
+                threads,
+                ..ImpaladConf::default()
+            };
+            Impalad::new(conf, dfs.clone(), catalog.clone())
+                .execute(JOIN_SQL)
+                .unwrap()
+                .pairs
+        };
+        let serial = run(1);
+        assert_eq!(serial.len(), 101, "100 quadrant matches plus polygon 8");
+        assert!(serial.contains(&(22, 8)));
+        for threads in [2, 7] {
+            assert_eq!(run(threads), serial, "threads = {threads}");
+        }
+        // The multi-block right table joins exactly as the one-block
+        // fixture does, apart from the extra polygon.
+        let mut one_block = daemon().execute(JOIN_SQL).unwrap().pairs;
+        one_block.push((22, 8));
+        one_block.sort_unstable();
+        let mut sorted = serial;
+        sorted.sort_unstable();
+        assert_eq!(sorted, one_block);
+    }
+
+    #[test]
+    fn build_task_panic_fails_the_query_with_no_rows() {
+        let (dfs, catalog) =
+            fixture_small_blocks(&[format!("{BUGGY_RIGHT_ROW}\tPOLYGON ((0 0, 1 0, 1 1, 0 0))")]);
+        for threads in [1, 2, 7] {
+            let conf = ImpaladConf {
+                threads,
+                ..ImpaladConf::default()
+            };
+            let d = Impalad::new(conf, dfs.clone(), catalog.clone());
+            match quiet_panics(|| d.execute(JOIN_SQL)) {
+                Err(ImpalaError::FragmentFailed { fragment, message }) => {
+                    assert_eq!(fragment, "build");
+                    assert_eq!(message, format!("build bug at row {BUGGY_RIGHT_ROW}"));
+                }
+                other => panic!("expected FragmentFailed, got {other:?}"),
+            }
+            assert_eq!(d.chaos().fault_count(), 0, "no chaos involved");
         }
     }
 

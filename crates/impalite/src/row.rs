@@ -21,17 +21,25 @@ impl Row {
     /// Returns `None` for malformed records (both systems in the paper
     /// silently drop unparsable rows).
     pub fn from_line(line: &str, geom_col: usize) -> Option<Row> {
-        let mut cols = line.split('\t');
-        let id = cols.next()?.trim().parse::<i64>().ok()?;
-        let wkt = if geom_col == 0 {
-            return None; // column 0 is the id by convention
-        } else {
-            line.split('\t').nth(geom_col)?
-        };
+        let (id, wkt) = Row::split_line(line, geom_col)?;
         Some(Row {
             id,
             wkt: wkt.to_string(),
         })
+    }
+
+    /// The id and the geometry column of a record, borrowed from the
+    /// line and split in one pass. `None` when the id is not an
+    /// integer, the column is missing, or `geom_col` is 0 (column 0 is
+    /// the id by convention).
+    pub(crate) fn split_line(line: &str, geom_col: usize) -> Option<(i64, &str)> {
+        if geom_col == 0 {
+            return None;
+        }
+        let mut cols = line.split('\t');
+        let id = cols.next()?.trim().parse::<i64>().ok()?;
+        let wkt = cols.nth(geom_col - 1)?;
+        Some((id, wkt))
     }
 }
 
@@ -83,6 +91,28 @@ mod tests {
         // Extra columns are fine; geometry can sit anywhere but 0.
         let r2 = Row::from_line("7\tfoo\tPOINT (3 4)", 2).unwrap();
         assert_eq!(r2.wkt, "POINT (3 4)");
+    }
+
+    #[test]
+    fn split_line_reads_the_geometry_column() {
+        let line = "7\tfoo\tPOINT (3 4)\tbar";
+        assert_eq!(Row::split_line(line, 1), Some((7, "foo")));
+        assert_eq!(Row::split_line(line, 2), Some((7, "POINT (3 4)")));
+        assert_eq!(Row::split_line(line, 3), Some((7, "bar")));
+        // A missing column, and column 0 (the id), give no row.
+        assert_eq!(Row::split_line(line, 4), None);
+        assert_eq!(Row::split_line(line, 0), None);
+        assert_eq!(Row::split_line("7", 1), None);
+        // `from_line` is `split_line` plus an owned copy.
+        assert_eq!(
+            Row::from_line(line, 2),
+            Some(Row {
+                id: 7,
+                wkt: "POINT (3 4)".into()
+            })
+        );
+        assert_eq!(Row::from_line(line, 4), None);
+        assert_eq!(Row::from_line(line, 0), None);
     }
 
     #[test]

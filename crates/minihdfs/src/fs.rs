@@ -405,9 +405,11 @@ impl MiniDfs {
     }
 
     /// Reads the whole file back as owned lines, verifying every block's
-    /// checksum. SpatialSpark and ISP-MC read the broadcast right side
-    /// this way on every query; the left side is read block-wise, one
-    /// task per block.
+    /// checksum: one `String` per line, on the calling thread. Neither
+    /// SpatialSpark nor ISP-MC reads a join side this way; both take
+    /// [`MiniDfs::blocks`] and parse each block's lines in place, one
+    /// pool task per block. The Hadoop baselines, the benches and tests
+    /// that want owned lines use it.
     ///
     /// # Errors
     /// Fails with [`DfsError::NotFound`] for unknown paths.

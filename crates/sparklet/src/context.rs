@@ -94,19 +94,34 @@ impl SparkContext {
         &self.inner.dfs
     }
 
-    /// Reads a text file as a dataset of lines, one partition per HDFS
-    /// block, preserving block locality — Spark's `sc.textFile`.
+    /// Reads a text file and maps every line through `parse` —
+    /// Spark's `sc.textFile(path).map(parse)`, pipelined into one
+    /// recorded stage named `name` the way Spark pipelines narrow
+    /// dependencies into one task. One task and one partition per HDFS
+    /// block, keeping the block's locality. Blocks are CRC-verified on
+    /// the driver ([`MiniDfs::blocks`]); each task then parses its
+    /// block's lines as `&str` borrowed from the block bytes, so no line
+    /// is copied. Callers that want the raw lines pass `str::to_owned`.
     ///
     /// # Errors
-    /// Fails when the path does not exist.
-    pub fn text_file(&self, path: &str) -> Result<Dataset<String>, DfsError> {
+    /// Fails when the path does not exist or a block has no replica
+    /// that passes verification.
+    pub fn text_file<T, F>(&self, path: &str, name: &str, parse: F) -> Result<Dataset<T>, DfsError>
+    where
+        T: Send + Sync,
+        F: Fn(&str) -> T + Sync,
+    {
         let blocks = self.inner.dfs.blocks(path)?;
-        let partitions: Vec<Partition<String>> = blocks
-            .iter()
-            .map(|b| Partition {
-                data: b.lines().map(str::to_string).collect(),
-                locality: Some(b.primary_node),
-            })
+        let localities: Vec<Option<usize>> = blocks.iter().map(|b| Some(b.primary_node)).collect();
+        let outputs = self.execute_stage(name, blocks, localities.clone(), |b| {
+            let mut records = Vec::with_capacity(b.num_records);
+            records.extend(b.lines().map(&parse));
+            records
+        });
+        let partitions = outputs
+            .into_iter()
+            .zip(localities)
+            .map(|(data, locality)| Partition { data, locality })
             .collect();
         Ok(Dataset::from_partitions(self.clone(), partitions))
     }
@@ -304,10 +319,111 @@ mod tests {
         let c = ctx();
         let lines: Vec<String> = (0..200).map(|i| format!("line-{i:0>10}")).collect();
         c.dfs().write_lines("/t", &lines).unwrap();
-        let ds = c.text_file("/t").unwrap();
-        assert_eq!(ds.num_partitions(), c.dfs().blocks("/t").unwrap().len());
-        assert_eq!(ds.count(), 200);
-        assert!(c.text_file("/missing").is_err());
+        let blocks = c.dfs().blocks("/t").unwrap();
+        assert!(blocks.len() > 1, "256-byte blocks must split 200 lines");
+        let ds = c.text_file("/t", "textFile", str::to_owned).unwrap();
+        // One partition per block, each holding that block's lines in
+        // order and carrying its locality.
+        assert_eq!(ds.num_partitions(), blocks.len());
+        for (i, b) in blocks.iter().enumerate() {
+            assert_eq!(ds.partition(i), b.lines().collect::<Vec<_>>());
+        }
+        assert_eq!(
+            ds.localities(),
+            blocks
+                .iter()
+                .map(|b| Some(b.primary_node))
+                .collect::<Vec<_>>()
+        );
+        // Concatenated, the partitions are the file in line order.
+        assert_eq!(ds.collect(), lines);
+        assert!(c.text_file("/missing", "textFile", str::to_owned).is_err());
+    }
+
+    #[test]
+    fn text_file_parses_lines_as_one_stage() {
+        let c = ctx();
+        let lines: Vec<String> = (0..200).map(|i| format!("{i}\tpayload")).collect();
+        c.dfs().write_lines("/t", &lines).unwrap();
+        let ds = c
+            .text_file("/t", "map:parse-id", |l| {
+                l.split('\t').next().and_then(|id| id.parse::<u32>().ok())
+            })
+            .unwrap();
+        let ids: Vec<u32> = ds.collect().into_iter().flatten().collect();
+        assert_eq!(ids, (0..200).collect::<Vec<u32>>());
+        // textFile and map ran as one recorded stage, one task per
+        // block, each task pinned to its block's node.
+        let report = c.job_report();
+        assert_eq!(report.stages.len(), 1);
+        let stage = &report.stages[0];
+        assert_eq!(stage.name, "map:parse-id");
+        assert_eq!(stage.tasks.len(), ds.num_partitions());
+        let localities: Vec<Option<usize>> = stage.tasks.iter().map(|t| t.locality).collect();
+        assert_eq!(localities, ds.localities());
+    }
+
+    #[test]
+    fn text_file_counts_worker_records_on_the_driver() {
+        // A fresh thread, so the snapshot delta sees only this test.
+        std::thread::spawn(|| {
+            let c = SparkContext::new(
+                SparkConf {
+                    threads: 3,
+                    ..SparkConf::default()
+                },
+                MiniDfs::new(4, 256).unwrap(),
+            );
+            let lines: Vec<String> = (0..300).map(|i| format!("{i:0>12}")).collect();
+            c.dfs().write_lines("/t", &lines).unwrap();
+            let before = obs::thread_snapshot();
+            let ds = c
+                .text_file("/t", "map:count", |l| {
+                    obs::records(1, 0);
+                    l.len()
+                })
+                .unwrap();
+            let delta = obs::thread_snapshot().minus(&before);
+            assert_eq!(ds.count(), 300);
+            assert_eq!(delta.records_parsed, 300);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn chaos_recomputes_lost_ingest_tasks_bit_identically() {
+        let lines: Vec<String> = (0..1000).map(|i| format!("{i}\tx")).collect();
+        let ingest = |c: &SparkContext| {
+            c.dfs().write_lines("/t", &lines).unwrap();
+            c.text_file("/t", "map:parse-id", |l| {
+                l.split('\t').next().and_then(|id| id.parse::<i64>().ok())
+            })
+            .unwrap()
+            .collect()
+        };
+        let fault_free = ingest(&ctx());
+        // Executor deaths only: every fault loses a task.
+        let conf = SparkConf {
+            chaos: ChaosConfig {
+                panic_rate: 0.3,
+                ..ChaosConfig::uniform(77, 0.0)
+            },
+            ..SparkConf::default()
+        };
+        let c = SparkContext::new(conf, MiniDfs::new(4, 256).unwrap());
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = ingest(&c);
+        std::panic::set_hook(hook);
+        assert_eq!(out, fault_free, "recovered ingest must be bit-identical");
+        let names: Vec<String> = c.job_report().stages.into_iter().map(|s| s.name).collect();
+        assert_eq!(names[0], "map:parse-id");
+        assert!(names.len() > 1, "some ingest task must have been lost");
+        assert!(
+            names[1..].iter().all(|n| n == "recompute:map:parse-id"),
+            "lost ingest tasks surface as recompute stages: {names:?}"
+        );
     }
 
     #[test]

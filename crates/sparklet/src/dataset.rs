@@ -208,6 +208,18 @@ impl<T: Send + Sync> Dataset<T> {
         out
     }
 
+    /// [`Dataset::collect`] by move: consumes the dataset and gathers
+    /// its records on the driver in partition order, without cloning
+    /// them.
+    pub fn into_vec(self) -> Vec<T> {
+        let total = self.count();
+        let mut out = Vec::with_capacity(total);
+        for p in self.partitions {
+            out.extend(p.data);
+        }
+        out
+    }
+
     /// Redistributes records into `num_partitions` partitions by a key
     /// function — the wide (shuffle) dependency. `bytes_of` estimates
     /// each record's serialized size for the network model.
@@ -433,7 +445,7 @@ mod tests {
         let c = ctx();
         let lines: Vec<String> = (0..100).map(|i| format!("{i:0>20}")).collect();
         c.dfs().write_lines("/loc", &lines).unwrap();
-        let ds = c.text_file("/loc").unwrap();
+        let ds = c.text_file("/loc", "textFile", str::to_owned).unwrap();
         let mapped = ds.map("len", |s| s.len());
         assert_eq!(mapped.localities(), ds.localities());
         assert!(ds.localities().iter().all(Option::is_some));

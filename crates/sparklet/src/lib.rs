@@ -5,8 +5,9 @@
 //!
 //! * datasets are collections of **partitions** distributed over the
 //!   cluster ([`Dataset`]), created from minihdfs text files with one
-//!   partition per block (locality preserved) or by parallelising a
-//!   local collection;
+//!   partition per block (locality preserved; the per-line parse runs
+//!   in the read's own stage, borrowing each line from the block) or
+//!   by parallelising a local collection;
 //! * functional transformations (`map`, `flat_map`, `filter`,
 //!   `zip_with_index`, …) execute as **stages of per-partition tasks**
 //!   under *dynamic* scheduling — any free core takes the next task,

@@ -25,15 +25,16 @@ fn datasets_survive_dfs_round_trip_at_scale() {
 #[test]
 fn sparklet_pipeline_mirrors_fig2_structure() {
     // The Fig. 2 skeleton as raw dataset operations: textFile → map
-    // (split) → zipWithIndex → parse → filter.
+    // (split, pipelined into the read) → zipWithIndex → parse → filter.
     let dfs = MiniDfs::new(4, 4 * 1024).unwrap();
     datagen::write_dataset(&dfs, "/pts", &datagen::taxi::geometries(2_000, 3)).unwrap();
     let sc = SparkContext::new(SparkConf::default(), dfs);
 
-    let lines = sc.text_file("/pts").unwrap();
-    let split = lines.map("split", |l: &String| {
-        l.split('\t').map(str::to_string).collect::<Vec<_>>()
-    });
+    let split = sc
+        .text_file("/pts", "split", |l| {
+            l.split('\t').map(str::to_string).collect::<Vec<_>>()
+        })
+        .unwrap();
     let indexed = split.zip_with_index();
     let parsed = indexed.map("parse", |(idx, cols): &(u64, Vec<String>)| {
         (*idx, geom::wkt::parse(&cols[1]))
